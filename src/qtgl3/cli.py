@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -32,12 +33,31 @@ def _parse_level(text):
     return (k, l)
 
 
-def _parse_pair(text, what):
+def _parse_constraint(text):
     try:
         a, b = (int(p) for p in text.split(","))
     except ValueError:
-        raise ConfigError(f"bad {what} {text!r}; expected two integers") from None
+        raise ConfigError(f"bad constraint {text!r}; expected two integers") from None
+    if a < 0 or b < 0:
+        raise ConfigError("constraint components must be nonnegative")
     return (a, b)
+
+
+def _window(args):
+    """The --window value, 1 when it is not given."""
+    window = 1 if args.window is None else args.window
+    if window < 0:
+        raise ConfigError("window must be nonnegative")
+    return window
+
+
+def _basis_spec(args):
+    """(window, constraint) of a gram or scan request."""
+    if args.constraint is None:
+        return _window(args), None
+    if args.window is not None:
+        raise ConfigError("give --window or --constraint, not both")
+    return None, _parse_constraint(args.constraint)
 
 
 def _parse_theta(text):
@@ -49,9 +69,12 @@ def _parse_theta(text):
 
 def _parse_mu_grid(text):
     try:
-        return [float(p) for p in text.split(",")]
+        grid = [float(p) for p in text.split(",")]
     except ValueError:
         raise ConfigError(f"bad mu grid {text!r}; expected comma-separated reals") from None
+    if not all(math.isfinite(mu) for mu in grid):
+        raise ConfigError(f"bad mu grid {text!r}; every mu must be finite")
+    return grid
 
 
 def _emit(obj, out_path):
@@ -64,6 +87,8 @@ def _emit(obj, out_path):
 
 
 def cmd_verify_brackets(args):
+    if args.samples < 0:
+        raise ConfigError("samples must be nonnegative")
     reports = verify.run_all(samples=args.samples, seed=args.seed)
     ok = all(r.ok for r in reports)
     _emit(
@@ -84,10 +109,7 @@ def cmd_verify_brackets(args):
 
 
 def cmd_gram(args):
-    if args.window is None and args.constraint is None:
-        args.window = 1
-    constraint = _parse_pair(args.constraint, "constraint") if args.constraint else None
-    window = None if constraint is not None else args.window
+    window, constraint = _basis_spec(args)
     engine = WordEngine()
     g = engine.gram(_parse_level(args.level), window=window, constraint=constraint)
     _emit(g.to_json(), args.out)
@@ -96,7 +118,7 @@ def cmd_gram(args):
 
 def cmd_form_crosscheck(args):
     budget = sum(_parse_level(args.level))
-    window = args.window if args.window is not None else 1
+    window = _window(args)
     engine = WordEngine()
     words = []
     for k in range(budget + 1):
@@ -133,10 +155,7 @@ def cmd_form_crosscheck(args):
 
 
 def cmd_unitarity_scan(args):
-    if args.window is None and args.constraint is None:
-        args.window = 1
-    constraint = _parse_pair(args.constraint, "constraint") if args.constraint else None
-    window = None if constraint is not None else args.window
+    window, constraint = _basis_spec(args)
     engine = WordEngine()
     report = unitarity.mu_scan(
         engine,

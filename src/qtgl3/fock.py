@@ -21,7 +21,6 @@ both central elements acting as zero.
 from __future__ import annotations
 
 from .scalars import HALF_MU, MU, ONE, ScalarPoly, q_pow
-from .torus import TorusElement
 
 
 def point_class(pt):
@@ -402,12 +401,3 @@ def pi(x, v, cfg=DEFAULT_CONFIG):
         # central symbols act as zero
     return out
 
-
-def act_torus(i, j, arg, v, cfg=DEFAULT_CONFIG):
-    """Apply E_ij(arg) for a composite torus argument, expanded bilinearly."""
-    if isinstance(arg, tuple):
-        arg = TorusElement.monomial(arg[0], arg[1])
-    out = FockPoly.zero()
-    for (m, n), c in arg.terms.items():
-        out = out + apply_generator(i, j, m, n, v, cfg).scale(c)
-    return out

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import fock
 from .gl3 import matrix_bracket_terms
-from .scalars import HALF_MU, ONE, ScalarPoly, q_pow
+from .scalars import HALF_MU, ONE, ZERO, ScalarPoly, q_pow
 from .torus import TorusElement
 
 
@@ -264,6 +264,14 @@ class WordEngine:
         k, l = word_level(u)
         if (k, l) != word_level(v):
             return ScalarPoly.zero()
+        if word_weight(u) != word_weight(v):
+            # Each chain below ends on the monomial s^cur_m t^cur_n, where
+            # (cur_m, cur_n) sums (mc - mr, nc - nr) over the chain's rows.
+            # The chains of a (sigma, tau) pair use every row and every
+            # column once, so their (cur_m, cur_n) add up to
+            # weight(v) - weight(u).  When that is nonzero, some chain is a
+            # non-identity monomial, its kappa is 0, and every term dies.
+            return ScalarPoly.zero()
         n_tot = k + l
         if n_tot == 0:
             return ONE
@@ -324,19 +332,25 @@ class WordEngine:
     def gram(self, level, window=None, constraint=None):
         """Gram matrix of the form over the canonical word basis at a level.
 
-        Entries come from the defining recursion; the lower triangle is
-        the conjugate mirror of the upper (the hermitian symmetry itself
-        is exercised separately by the test suite).
+        d_s and d_t act on a word by its (s, t) weight and are self-adjoint
+        for the form, so words of different weight are orthogonal.  The
+        basis is grouped by `word_weight`; the defining recursion runs on
+        every ordered pair inside a group, both triangles, and every
+        cross-weight entry is the exact zero.  Both triangles are computed,
+        so hermitian symmetry stays a genuine check downstream
+        (`unitarity.specialize` measures its residual).
         """
         basis = enumerate_words(level, window=window, constraint=constraint)
         n = len(basis)
-        entries = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                val = self.form_words(basis[i], basis[j])
-                entries[i][j] = val
-                if j > i:
-                    entries[j][i] = val.conjugate()
+        entries = [[ZERO] * n for _ in range(n)]
+        groups = {}
+        for i, w in enumerate(basis):
+            groups.setdefault(word_weight(w), []).append(i)
+        for group in groups.values():
+            for i in group:
+                u, row = basis[i], entries[i]
+                for j in group:
+                    row[j] = self.form_words(u, basis[j])
         return GramMatrix(level=level, window=window, constraint=constraint,
                           basis=basis, entries=entries)
 
@@ -377,6 +391,8 @@ class GramMatrix:
     constraint: object
     basis: list
     entries: list = field(repr=False)
+    # built by unitarity.specialize on first use; entries are not mutated after
+    _compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def to_json(self):
         out = {

@@ -87,3 +87,32 @@ def test_io_error_exit_one(tmp_path):
     res = run_cli("gram", "--level", "0,0", "--window", "0",
                   "--out", str(tmp_path / "missing" / "g.json"))
     assert res.returncode == 1
+
+
+def assert_usage_error(res):
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_scan_rejects_nonfinite_mu():
+    assert_usage_error(run_cli("unitarity-scan", "--level", "1,0", "--window", "0",
+                               "--theta", "1/7", "--mu=nan,inf"))
+
+
+def test_negative_window_is_a_usage_error():
+    assert_usage_error(run_cli("gram", "--level", "1,0", "--window", "-1"))
+    assert_usage_error(run_cli("form-crosscheck", "--level", "1,0", "--window", "-2"))
+
+
+def test_negative_constraint_is_a_usage_error():
+    assert_usage_error(run_cli("gram", "--level", "1,0", "--constraint=-1,2"))
+
+
+def test_negative_samples_is_a_usage_error():
+    assert_usage_error(run_cli("verify-brackets", "--samples", "-5"))
+
+
+def test_window_and_constraint_together_is_a_usage_error():
+    assert_usage_error(run_cli("gram", "--level", "1,0", "--window", "1",
+                               "--constraint", "1,1"))

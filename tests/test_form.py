@@ -339,3 +339,20 @@ def test_gram_hermitian_invariant(engine):
     for i in range(n):
         for j in range(n):
             assert g.entries[i][j] == g.entries[j][i].conjugate()
+
+
+@pytest.mark.parametrize(
+    "level,window,constraint",
+    [((1, 0), 1, None), ((0, 1), 1, None), ((1, 1), 1, None), ((2, 0), 1, None),
+     ((1, 0), 2, None), ((2, 0), None, (2, 2))],
+)
+def test_gram_blocks_skip_only_genuine_zeros(level, window, constraint):
+    # the Gram evaluates equal-weight pairs only; every pair it skips must be a zero
+    g = WordEngine().gram(level, window=window, constraint=constraint)
+    fresh = WordEngine()
+    for i, u in enumerate(g.basis):
+        for j, v in enumerate(g.basis):
+            assert fresh.form_words(u, v) == g.entries[i][j]
+            if word_weight(u) != word_weight(v):
+                assert g.entries[i][j] is ZERO
+

@@ -1,5 +1,4 @@
 import json
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -87,19 +86,34 @@ def test_scan_report_json(engine):
     json.dumps(js)  # serializable
 
 
-def test_thread_cap_does_not_change_results(engine):
-    grid = [0.25, 0.75, 1.5, 3.0]
-    base = unitarity.mu_scan(engine, (1, 1), Fraction(1, 7), grid, window=0)
-    old = os.environ.get("QTW_THREADS")
-    os.environ["QTW_THREADS"] = "4"
-    try:
-        threaded = unitarity.mu_scan(engine, (1, 1), Fraction(1, 7), grid, window=0)
-    finally:
-        if old is None:
-            del os.environ["QTW_THREADS"]
-        else:
-            os.environ["QTW_THREADS"] = old
-    assert base.to_json() == threaded.to_json()
+def dense_specialize(gram, theta, mu):
+    """The per-entry reference: one ScalarPoly.evaluate per entry, then symmetrize."""
+    m = np.array([[x.evaluate(theta, mu) for x in row] for row in gram.entries])
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize(
+    "level,window,constraint",
+    [((1, 1), 1, None), ((2, 0), 1, None), ((1, 0), None, (2, 2))],
+)
+def test_compiled_specialize_matches_evaluate(engine, level, window, constraint):
+    g = engine.gram(level, window=window, constraint=constraint)
+    for theta in (Fraction(0), Fraction(1, 3), Fraction(1, 7), Fraction(89, 233)):
+        for mu in (-1.0, 0.0, 0.25, 5.0):
+            want = dense_specialize(g, theta, mu)
+            sg = unitarity.specialize(g, theta, mu)
+            assert np.max(np.abs(sg.matrix - want)) < 1e-12
+            assert abs(unitarity.min_eigenvalue(sg) - np.linalg.eigvalsh(want)[0]) < 1e-9
+
+
+def test_blocks_come_from_the_entries_not_the_weights():
+    # the two words differ in weight, yet this hand-built Gram couples them
+    two = ScalarPoly.from_rational(2)
+    g = GramMatrix(level=(1, 0), window=0, constraint=None,
+                   basis=[make_word([(0, 0)], []), make_word([(1, 0)], [])],
+                   entries=[[ONE, two], [two, ONE]])
+    sg = unitarity.specialize(g, Fraction(1, 7), 1.0)
+    assert abs(unitarity.min_eigenvalue(sg) + 1.0) < 1e-12
 
 
 def test_diagonal_growth_matches_total_level(engine):
