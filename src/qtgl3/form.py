@@ -19,6 +19,13 @@ recursion (peel a factor off the left argument and move its omega-image
 to the right), and by a closed combinatorial sum over entry patterns
 and cycle structures of the block matrix of paired arguments.  The two
 evaluators agree, and that agreement is part of the test suite.
+
+The action and the defining recursion run on word ids: a `WordEngine`
+numbers each word it meets and stores its peel split once, so the memo
+keys are `(i, j, mono, word_id)` for the action and `(u_id, v_id)` for
+the form instead of nested `Word` tuples.  Only the public methods see
+`Word`s.  The combinatorial evaluator works on the words themselves and
+shares no table with the id path.
 """
 
 from __future__ import annotations
@@ -104,8 +111,32 @@ def _cycles(perm):
     return out
 
 
+def _accumulate(out, key, coeff):
+    """out[key] += coeff, dropping the key when the sum is exactly zero."""
+    s = out.get(key)
+    s = coeff if s is None else s + coeff
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
 class WordEngine:
     """Rewriting engine with per-instance memo tables.
+
+    Every word the engine meets is interned into a small integer id
+    (the vacuum is 0), and its peel split `(side, first_arg, rest_id)`
+    is stored once: side 1 when the word starts with an E12 factor, 3
+    when it starts with an E32 factor.  The recursions run on ids, so
+    their memo keys are flat tuples of small integers:
+
+        _act_cache     (i, j, mono, word_id) -> {word_id: coefficient}
+        _form_cache    (u_id, v_id) -> form value
+        _insert_cache  (word_id, side, arg) -> id of the word with the
+                       factor E12(arg) (side 1) or E32(arg) (side 3) added
+
+    The public methods take and return `Word`s.  The tables grow for the
+    life of the engine; use a fresh engine to bound them.
 
     `bracket_terms` may be overridden (tests use a corrupted version as
     a negative control); it must map monomial generator pairs to the
@@ -114,57 +145,73 @@ class WordEngine:
 
     def __init__(self, bracket_terms=None):
         self.bracket_terms = bracket_terms or matrix_bracket_terms
+        self._ids = {VACUUM: 0}
+        self._words = [VACUUM]
+        self._peel = [None]
+        self._insert_cache = {}
         self._act_cache = {}
         self._form_cache = {}
+
+    # -- word ids ---------------------------------------------------------
+
+    def _intern(self, word):
+        """Id of a word; the first sighting records it and its peel split."""
+        wid = self._ids.get(word)
+        if wid is None:
+            if word.e12:
+                peel = (1, word.e12[0], self._intern(Word(word.e12[1:], word.e32)))
+            else:
+                peel = (3, word.e32[0], self._intern(Word((), word.e32[1:])))
+            wid = len(self._words)
+            self._ids[word] = wid
+            self._words.append(word)
+            self._peel.append(peel)
+        return wid
+
+    def _insert(self, wid, side, arg):
+        """Id of word `wid` times E12(arg) (side 1) or E32(arg) (side 3), re-sorted."""
+        key = (wid, side, arg)
+        res = self._insert_cache.get(key)
+        if res is None:
+            w = self._words[wid]
+            if side == 1:
+                w = Word(_insert_sorted(w.e12, arg), w.e32)
+            else:
+                w = Word(w.e12, _insert_sorted(w.e32, arg))
+            res = self._insert_cache[key] = self._intern(w)
+        return res
 
     # -- action ---------------------------------------------------------
 
     def act_mono(self, i, j, mono, word):
         """E_ij(s^m t^n) . word expanded in the word basis (central terms dropped)."""
-        if i == 1 and j == 2:
-            return {Word(_insert_sorted(word.e12, mono), word.e32): ONE}
-        if i == 3 and j == 2:
-            return {Word(word.e12, _insert_sorted(word.e32, mono)): ONE}
-        key = (i, j, mono, word)
+        words = self._words
+        return {words[w]: c for w, c in self._act(i, j, mono, self._intern(word)).items()}
+
+    def _act(self, i, j, mono, wid):
+        """E_ij(mono) . word `wid` as {word id: coefficient}."""
+        if j == 2 and i != 2:  # E12, E32 just add a factor; side = i
+            return {self._insert(wid, i, mono): ONE}
+        key = (i, j, mono, wid)
         res = self._act_cache.get(key)
         if res is not None:
             return res
-        if word == VACUUM:
+        if not wid:
             if i == j and mono == (0, 0):
-                res = {VACUUM: -HALF_MU if i == 2 else HALF_MU}
+                res = {0: -HALF_MU if i == 2 else HALF_MU}
             else:
                 res = {}
         else:
-            if word.e12:
-                g, garg = (1, 2), word.e12[0]
-                rest = Word(word.e12[1:], word.e32)
-            else:
-                g, garg = (3, 2), word.e32[0]
-                rest = Word((), word.e32[1:])
-            out = {}
-            for w, c in self.act_mono(i, j, mono, rest).items():
-                if g == (1, 2):
-                    w2 = Word(_insert_sorted(w.e12, garg), w.e32)
-                else:
-                    w2 = Word(w.e12, _insert_sorted(w.e32, garg))
-                s = out.get(w2)
-                s = c if s is None else s + c
-                if s:
-                    out[w2] = s
-                else:
-                    out.pop(w2, None)
+            # E_ij(a) g(b) rest = g(b) E_ij(a) rest + [E_ij(a), g(b)] rest
+            side, garg, rest = self._peel[wid]
+            # adding one fixed factor is injective on words: no keys collide
+            res = {self._insert(w, side, garg): c
+                   for w, c in self._act(i, j, mono, rest).items()}
             for (i2, j2, mono2, coeff) in self.bracket_terms(
-                i, j, mono[0], mono[1], g[0], g[1], garg[0], garg[1]
+                i, j, mono[0], mono[1], side, 2, garg[0], garg[1]
             ):
-                for w, c in self.act_mono(i2, j2, mono2, rest).items():
-                    cc = coeff * c
-                    s = out.get(w)
-                    s = cc if s is None else s + cc
-                    if s:
-                        out[w] = s
-                    else:
-                        out.pop(w, None)
-            res = out
+                for w, c in self._act(i2, j2, mono2, rest).items():
+                    _accumulate(res, w, coeff * c)
         self._act_cache[key] = res
         return res
 
@@ -179,13 +226,7 @@ class WordEngine:
                 if not c0:
                     continue
                 for w, c in self.act_mono(i, j, mono, word).items():
-                    cc = c0 * c
-                    s = out.get(w)
-                    s = cc if s is None else s + cc
-                    if s:
-                        out[w] = s
-                    else:
-                        out.pop(w, None)
+                    _accumulate(out, w, c0 * c)
         return out
 
     def act_d(self, which, combo):
@@ -194,40 +235,49 @@ class WordEngine:
         for word, wc in combo.items():
             w = word_weight(word)[which - 1]
             if w:
-                c = wc * w
-                s = out.get(word)
-                s = c if s is None else s + c
-                if s:
-                    out[word] = s
-                else:
-                    out.pop(word, None)
+                _accumulate(out, word, wc * w)
+        return out
+
+    def act_element(self, x, combo):
+        """x.combo for a GlElement x; the central symbols act as 0."""
+        out = {}
+        for sym, c in x.terms.items():
+            if sym[0] == "E":
+                _, i, j, m, n = sym
+                part = self.act(i, j, (m, n), combo)
+            elif sym[0] == "ds":
+                part = self.act_d(1, combo)
+            elif sym[0] == "dt":
+                part = self.act_d(2, combo)
+            else:
+                continue
+            for w, cc in part.items():
+                _accumulate(out, w, c * cc)
         return out
 
     # -- hermitian form, defining recursion ------------------------------
 
     def form_words(self, u, v):
         """(u, v) by peeling u left to right; antilinear in u, linear in v."""
-        key = (u, v)
+        return self._form(self._intern(u), self._intern(v))
+
+    def _form(self, uid, vid):
+        """form_words on word ids."""
+        key = (uid, vid)
         res = self._form_cache.get(key)
         if res is not None:
             return res
-        if u == VACUUM:
-            res = ONE if v == VACUUM else ScalarPoly.zero()
+        if not uid:
+            res = ZERO if vid else ONE
         else:
-            if u.e12:
-                m, n = u.e12[0]
-                rest = Word(u.e12[1:], u.e32)
-                low = (2, 1)
-            else:
-                m, n = u.e32[0]
-                rest = Word((), u.e32[1:])
-                low = (2, 3)
+            side, (m, n), rest = self._peel[uid]
             # omega(E12(s^m t^n)) = -q^(mn) E21(s^-m t^-n), same shape for E32/E23
-            acted = self.act_mono(low[0], low[1], (-m, -n), v)
-            total = ScalarPoly.zero()
-            for w, c in acted.items():
-                total = total + c * self.form_words(rest, w)
-            res = -(q_pow(m * n) * total)
+            total = ZERO
+            for w, c in self._act(2, side, (-m, -n), vid).items():
+                sub = self._form(rest, w)
+                if sub.terms:
+                    total = total + c * sub
+            res = -(q_pow(m * n) * total) if total.terms else ZERO
         self._form_cache[key] = res
         return res
 

@@ -171,6 +171,11 @@ class ScalarPoly:
     def __add__(self, other):
         if not isinstance(other, ScalarPoly):
             return NotImplemented
+        # instances are immutable, so a zero operand can hand back the other one
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for k, c in other.terms.items():
             s = terms.get(k)
@@ -187,6 +192,10 @@ class ScalarPoly:
     def __sub__(self, other):
         if not isinstance(other, ScalarPoly):
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
         terms = dict(self.terms)
         for k, c in other.terms.items():
             s = terms.get(k)
@@ -201,6 +210,8 @@ class ScalarPoly:
         return ScalarPoly._raw(terms)
 
     def __neg__(self):
+        if not self.terms:
+            return ZERO
         return ScalarPoly._raw({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -116,3 +117,18 @@ def test_negative_samples_is_a_usage_error():
 def test_window_and_constraint_together_is_a_usage_error():
     assert_usage_error(run_cli("gram", "--level", "1,0", "--window", "1",
                                "--constraint", "1,1"))
+
+
+# SHA-256 of the gram JSON on stdout; a rewrite of the word engine or the scalars must keep it
+GRAM_SHA256 = {
+    "1,1": "6d2fb26be56f35f87564d1b712ab8e36986b56a4284fffb153e5720239be49a3",
+    "2,0": "f70351c54ff330ba0cc8f4ad5c89fee90bba7fcda8ddf7491c6a551508eb52cd",
+}
+
+
+def test_gram_json_is_byte_identical():
+    for level, want in GRAM_SHA256.items():
+        res = subprocess.run(BASE + ["gram", "--level", level, "--window", "1"],
+                             capture_output=True)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout).hexdigest() == want, level

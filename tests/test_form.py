@@ -33,28 +33,6 @@ def combo(*pairs):
     return {w: c for w, c in pairs}
 
 
-def act_element(engine, x, cv):
-    """Apply a GlElement (matrix symbols and derivations) to a combination."""
-    out = {}
-    for sym, c in x.terms.items():
-        if sym[0] == "E":
-            _, i, j, m, n = sym
-            part = engine.act(i, j, (m, n), cv)
-        elif sym[0] == "ds":
-            part = engine.act_d(1, cv)
-        elif sym[0] == "dt":
-            part = engine.act_d(2, cv)
-        else:
-            continue
-        for w, cc in part.items():
-            s = out.get(w, ZERO) + c * cc
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return out
-
-
 # -- rewriting engine --------------------------------------------------
 
 def test_act_word_examples(engine):
@@ -180,8 +158,8 @@ def test_contravariance_sampled(engine):
         i, j = rng.randint(1, 3), rng.randint(1, 3)
         mono = (rng.randint(-1, 1), rng.randint(-1, 1))
         g = GlElement.matrix(i, j, mono)
-        lhs = engine.form(act_element(engine, g, {u: ONE}), {v: ONE})
-        rhs = engine.form({u: ONE}, act_element(engine, omega(g), {v: ONE}))
+        lhs = engine.form(engine.act_element(g, {u: ONE}), {v: ONE})
+        rhs = engine.form({u: ONE}, engine.act_element(omega(g), {v: ONE}))
         assert lhs == rhs
     for which in (1, 2):
         for _ in range(40):
@@ -356,3 +334,54 @@ def test_gram_blocks_skip_only_genuine_zeros(level, window, constraint):
             if word_weight(u) != word_weight(v):
                 assert g.entries[i][j] is ZERO
 
+
+
+# -- the interned engine ---------------------------------------------------
+
+LEVEL2_WORDS = [w for k in range(3) for l in range(3 - k)
+                for w in enumerate_words((k, l), window=1)]
+
+
+def test_form_words_independent_of_evaluation_order():
+    # the memo tables fill in a different order; every value must come out the same
+    forward, backward = WordEngine(), WordEngine()
+    pairs = [(u, v) for u in LEVEL2_WORDS for v in LEVEL2_WORDS]
+    want = [forward.form_words(u, v) for u, v in pairs]
+    got = [backward.form_words(u, v) for u, v in reversed(pairs)]
+    assert got[::-1] == want
+
+
+def test_act_mono_keys_are_canonical_and_stable_across_gram():
+    eng = WordEngine()
+    rng = random.Random(29)
+    calls = [(rng.randint(1, 3), rng.randint(1, 3),
+              (rng.randint(-1, 1), rng.randint(-1, 1)), rng.choice(LEVEL2_WORDS))
+             for _ in range(300)]
+    before = [eng.act_mono(*call) for call in calls]
+    for res in before:
+        for key in res:
+            assert type(key) is Word and make_word(*key) == key
+    eng.gram((1, 1), window=1)
+    eng.gram((2, 0), window=1)
+    assert [eng.act_mono(*call) for call in calls] == before
+    fresh = WordEngine()
+    assert [fresh.act_mono(*call) for call in reversed(calls)] == before[::-1]
+
+
+def test_reused_engine_gram_matches_fresh_engines():
+    eng = WordEngine()
+    for level in ((1, 1), (2, 0)):
+        got = eng.gram(level, window=1)
+        want = WordEngine().gram(level, window=1)
+        assert got.basis == want.basis
+        assert got.entries == want.entries
+
+
+def test_act_element_sums_its_symbols():
+    # E21(s^-2) lowers E12(s^2).1 to -mu.1, d_s scales by the s-weight 2, central symbols act as 0
+    w = make_word([(2, 0)], [])
+    two = ScalarPoly.from_rational(2)
+    x = GlElement.matrix(2, 1, (-2, 0)) + GlElement.d_s(two) + GlElement.c_s()
+    eng = WordEngine()
+    assert eng.act_element(x, {w: ONE}) == {VACUUM: -MU, w: ScalarPoly.from_rational(4)}
+    assert eng.act_element(GlElement.c_t() + GlElement.d_t(), {w: ONE}) == {}

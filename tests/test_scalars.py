@@ -110,3 +110,36 @@ def test_gaussian_rational_fields():
     assert g.re == Fraction(3, 4)
     assert g.im == Fraction(-1, 6)
     assert (g * g.conjugate()).im == 0
+
+
+def _general_add(a, b):
+    terms = dict(a.terms)
+    for k, c in b.terms.items():
+        terms[k] = terms[k] + c if k in terms else c
+    return ScalarPoly(terms)  # the constructor drops zero coefficients
+
+
+def _general_neg(a):
+    return ScalarPoly({k: -c for k, c in a.terms.items()})
+
+
+# built from a term dict, not by adding terms, so these never pass through __add__
+term_dict_polys = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(0, 2)),
+    st.builds(GaussianRational, rational(), rational()),
+    max_size=4,
+).map(ScalarPoly)
+
+
+@given(st.one_of(st.just(ZERO), term_dict_polys), st.one_of(st.just(ZERO), term_dict_polys))
+@settings(max_examples=80, deadline=None)
+def test_zero_operand_fast_paths_match_general_path(a, b):
+    # termwise sums built from the dicts alone, so they share no code with the fast paths
+    assert a + b == _general_add(a, b)
+    assert a - b == _general_add(a, _general_neg(b))
+    assert -a == _general_neg(a)
+    assert -(a - a) is ZERO
+    for x in (a, b):
+        assert ZERO + x == x and x + ZERO == x
+        assert x - ZERO == x and ZERO - x == _general_neg(x)
+    assert not ZERO.terms
