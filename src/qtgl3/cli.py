@@ -23,23 +23,14 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_level(text):
-    try:
-        k, l = (int(p) for p in text.split(","))
-    except ValueError:
-        raise ConfigError(f"bad level {text!r}; expected k,l") from None
-    if k < 0 or l < 0:
-        raise ConfigError("level components must be nonnegative")
-    return (k, l)
-
-
-def _parse_constraint(text):
+def _parse_pair(text, what):
+    """A nonnegative integer pair "a,b"; errors name the argument `what`."""
     try:
         a, b = (int(p) for p in text.split(","))
     except ValueError:
-        raise ConfigError(f"bad constraint {text!r}; expected two integers") from None
+        raise ConfigError(f"bad {what} {text!r}; expected two integers a,b") from None
     if a < 0 or b < 0:
-        raise ConfigError("constraint components must be nonnegative")
+        raise ConfigError(f"{what} components must be nonnegative")
     return (a, b)
 
 
@@ -57,7 +48,7 @@ def _basis_spec(args):
         return _window(args), None
     if args.window is not None:
         raise ConfigError("give --window or --constraint, not both")
-    return None, _parse_constraint(args.constraint)
+    return None, _parse_pair(args.constraint, "constraint")
 
 
 def _parse_theta(text):
@@ -111,13 +102,14 @@ def cmd_verify_brackets(args):
 def cmd_gram(args):
     window, constraint = _basis_spec(args)
     engine = WordEngine()
-    g = engine.gram(_parse_level(args.level), window=window, constraint=constraint)
+    level = _parse_pair(args.level, "level")
+    g = engine.gram(level, window=window, constraint=constraint)
     _emit(g.to_json(), args.out)
     return 0
 
 
 def cmd_form_crosscheck(args):
-    budget = sum(_parse_level(args.level))
+    budget = sum(_parse_pair(args.level, "level"))
     window = _window(args)
     engine = WordEngine()
     words = []
@@ -159,7 +151,7 @@ def cmd_unitarity_scan(args):
     engine = WordEngine()
     report = unitarity.mu_scan(
         engine,
-        _parse_level(args.level),
+        _parse_pair(args.level, "level"),
         _parse_theta(args.theta),
         _parse_mu_grid(args.mu),
         window=window,

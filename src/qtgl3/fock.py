@@ -16,11 +16,30 @@ with [P_X, Q_Y] = delta_XY and all other pairs commuting.  The nine
 generator families e_ij(m1, n1), together with the two weighted degree
 operators D_1, D_2, realize the extended Lie algebra on this ring with
 both central elements acting as zero.
+
+Index 1 of e_ij stands for the class K_1 and index 3 for K_-1; the
+point of class c with components (m, n) is (3m + c, 3n + c).  Every
+infinite lattice sum has a P acting first, so only the points X present
+in a monomial contribute, and the nine families come in three shapes:
+
+- e12, e32: the single creation operator Q at the point of i's class
+  with components (m1, n1).
+- e11, e22, e33, e31, e13: sum_X q^phase Q_(X + 3(m1, n1) + offset) P_X
+  over X in a fixed set of classes (one row of `_ONE_P_ROWS`), plus the
+  vacuum term +-mu/2 on e11, e22, e33 when (m1, n1) = (0, 0).  The phase
+  is x1*n1; e22 alone takes x2*m1 and a minus sign.
+- e21, e23: with c the class of j,
+      -mu q^(-m1 n1) P_(3(-m1, -n1) + c)
+      - sum_(X in class c, Y present) q^(n1 x1 + y2 m1 + y2 x1)
+            Q_(X + Y + 3(m1, n1) - c) P_X P_Y.
+  The realization writes the part with Y in class c as a sum over
+  (X, X') with phase n1 x1' + x2 m1 + x2 x1'; relabeling X <-> X' turns
+  it into the form above term by term, because P_X and P_X' commute.
 """
 
 from __future__ import annotations
 
-from .scalars import HALF_MU, MU, ONE, ScalarPoly, q_pow
+from .scalars import HALF_MU, MU, ONE, ScalarPoly, SparseSum, accumulate, q_pow
 
 
 def point_class(pt):
@@ -69,23 +88,10 @@ class FreeFieldConfig:
 DEFAULT_CONFIG = FreeFieldConfig()
 
 
-class FockPoly:
+class FockPoly(SparseSum):
     """Sparse polynomial in the x_(p,r); monomials are sorted ((point, exp), ...) tuples."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {} if terms is None else {k: c for k, c in terms.items() if c}
-
-    @classmethod
-    def _raw(cls, terms):
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
+    __slots__ = ()
 
     @classmethod
     def one(cls, coeff=ONE):
@@ -96,28 +102,6 @@ class FockPoly:
         point_class(pt)
         return cls._raw({((pt, 1),): coeff} if coeff else {})
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            s = c if s is None else s + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return FockPoly._raw(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return FockPoly._raw({k: -c for k, c in self.terms.items()})
-
-    def scale(self, coeff):
-        if not coeff:
-            return FockPoly._raw({})
-        return FockPoly._raw({k: coeff * c for k, c in self.terms.items()})
-
     def __mul__(self, other):
         out = {}
         for ma, ca in self.terms.items():
@@ -126,26 +110,8 @@ class FockPoly:
                 exps = dict(da)
                 for pt, e in mb:
                     exps[pt] = exps.get(pt, 0) + e
-                key = tuple(sorted(exps.items()))
-                c = ca * cb
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, tuple(sorted(exps.items())), ca * cb)
         return FockPoly._raw(out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, FockPoly):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __str__(self):
         if not self.terms:
@@ -156,9 +122,6 @@ class FockPoly:
             parts.append(f"[{self.terms[mono]}]{factors}")
         return " + ".join(parts)
 
-    def __repr__(self):
-        return f"<FockPoly {self}>"
-
     def to_json(self):
         return [
             {"monomial": [[pt[0], pt[1], e] for pt, e in mono], "coeff": str(c)}
@@ -166,12 +129,12 @@ class FockPoly:
         ]
 
 
-def _mono_diff(mono, pt):
-    """d/dx_pt of a monomial: (factor, new monomial), or None if absent."""
+def _diff(pt, mono, factor, coeff):
+    """factor * d/dx_pt of coeff*mono as (monomial, coeff), or None if x_pt is absent."""
     for idx, (p, e) in enumerate(mono):
         if p == pt:
             rest = mono[:idx] + ((p, e - 1),) + mono[idx + 1:] if e > 1 else mono[:idx] + mono[idx + 1:]
-            return e, rest
+            return rest, factor * coeff * e
     return None
 
 
@@ -181,194 +144,119 @@ def _mono_times(mono, pt):
     return tuple(sorted(out.items()))
 
 
-def _add_term(acc, mono, coeff):
-    s = acc.get(mono)
-    s = coeff if s is None else s + coeff
-    if s:
-        acc[mono] = s
-    else:
-        acc.pop(mono, None)
+def _term_P(pt, mono, coeff, cfg):
+    """P_pt(coeff*mono) as (monomial, coeff), or None if x_pt is absent."""
+    return _diff(pt, mono, cfg.triple(pt)[0], coeff)
+
+
+def _add_Q(acc, pt, mono, coeff, cfg):
+    """Accumulate Q_pt(coeff*mono) = c_pt * d/dx_pt + d_pt * x_pt into acc."""
+    _, cc, d = cfg.triple(pt)
+    accumulate(acc, _mono_times(mono, pt), d * coeff)
+    if cc:
+        t = _diff(pt, mono, cc, coeff)
+        if t is not None:
+            accumulate(acc, *t)
 
 
 def apply_P(pt, v, cfg=DEFAULT_CONFIG):
     """P_pt = a_pt * d/dx_pt."""
-    a = cfg.triple(pt)[0]
     out = {}
     for mono, c in v.terms.items():
-        hit = _mono_diff(mono, pt)
-        if hit is not None:
-            e, rest = hit
-            _add_term(out, rest, a * c * e)
+        t = _term_P(pt, mono, c, cfg)
+        if t is not None:
+            accumulate(out, *t)
     return FockPoly._raw(out)
 
 
 def apply_Q(pt, v, cfg=DEFAULT_CONFIG):
     """Q_pt = c_pt * d/dx_pt + d_pt * x_pt."""
-    _, cc, d = cfg.triple(pt)
     out = {}
     for mono, c in v.terms.items():
-        _add_term(out, _mono_times(mono, pt), d * c)
-        if cc:
-            hit = _mono_diff(mono, pt)
-            if hit is not None:
-                e, rest = hit
-                _add_term(out, rest, cc * c * e)
+        _add_Q(out, pt, mono, c, cfg)
     return FockPoly._raw(out)
 
 
-def _term_P(pt, mono, coeff, cfg):
-    hit = _mono_diff(mono, pt)
-    if hit is None:
-        return None
-    e, rest = hit
-    return rest, cfg.triple(pt)[0] * coeff * e
-
-
-def _q_then_pp(acc, q_pt, p1, p2, mono, coeff, cfg):
-    """Accumulate Q_q_pt(P_p1(P_p2(coeff*mono))); the rightmost P acts first."""
-    t = _term_P(p2, mono, coeff, cfg)
-    if t is None:
-        return
-    t = _term_P(p1, t[0], t[1], cfg)
-    if t is None:
-        return
-    mono2, c2 = t
-    _, cc, d = cfg.triple(q_pt)
-    _add_term(acc, _mono_times(mono2, q_pt), d * c2)
-    if cc:
-        hit = _mono_diff(mono2, q_pt)
-        if hit is not None:
-            e, rest = hit
-            _add_term(acc, rest, cc * c2 * e)
-
-
-def _q_then_p(acc, q_pt, p_pt, phase_exp, mono, coeff, cfg):
-    """Accumulate q^phase * Q_q_pt(P_p_pt(coeff*mono))."""
-    t = _term_P(p_pt, mono, coeff, cfg)
-    if t is None:
-        return
+def _q_after_p(acc, q_pt, p_pts, phase_exp, mono, coeff, cfg):
+    """Accumulate q^phase * Q_q_pt(P...P(coeff*mono)); the P's at p_pts act in order."""
+    t = (mono, coeff)
+    for p in p_pts:
+        t = _term_P(p, t[0], t[1], cfg)
+        if t is None:
+            return
     mono2, c2 = t
     if phase_exp:
         c2 = c2 * q_pow(phase_exp)
-    _, cc, d = cfg.triple(q_pt)
-    _add_term(acc, _mono_times(mono2, q_pt), d * c2)
-    if cc:
-        hit = _mono_diff(mono2, q_pt)
-        if hit is not None:
-            e, rest = hit
-            _add_term(acc, rest, cc * c2 * e)
+    _add_Q(acc, q_pt, mono2, c2, cfg)
+
+
+# the class of generator index 1 or 3 (see the module docstring)
+_INDEX_CLASS = {1: 1, 3: -1}
+
+# The one-P generators: (i, j) -> (classes of the summed points X, offset
+# of the shift X -> X + 3(m, n) + offset, vacuum term at (m, n) = (0, 0)).
+_ONE_P_ROWS = {
+    (1, 1): ((1,), 0, HALF_MU),
+    (2, 2): ((1, -1), 0, -HALF_MU),
+    (3, 3): ((-1,), 0, HALF_MU),
+    (3, 1): ((1,), -2, None),
+    (1, 3): ((-1,), 2, None),
+}
 
 
 def apply_generator(i, j, m1, n1, v, cfg=DEFAULT_CONFIG):
     """Apply the operator realizing E_ij(s^m1 t^n1) to v.
 
-    Every infinite lattice sum has a P factor acting first, so only the
-    index points actually present in each monomial of v contribute.
+    The three branches are the three shapes in the module docstring.
     """
     if not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError(f"bad generator indices ({i}, {j})")
+    if j == 2 and i != 2:
+        # E12, E32: the single creation operator Q at the point of i's class
+        c = _INDEX_CLASS[i]
+        return apply_Q((3 * m1 + c, 3 * n1 + c), v, cfg)
+
     acc = {}
-    diag = (m1, n1) == (0, 0)
-
-    for mono, coeff in v.terms.items():
-        pts = [pt for pt, _ in mono]
-        k1 = [pt for pt in pts if pt[0] % 3 == 1]
-        km1 = [pt for pt in pts if pt[0] % 3 == 2]
-
-        if i == 1 and j == 2:
-            pt = k1_point(m1, n1)
-            _, cc, d = cfg.triple(pt)
-            _add_term(acc, _mono_times(mono, pt), d * coeff)
-            if cc:
-                hit = _mono_diff(mono, pt)
-                if hit is not None:
-                    e, rest = hit
-                    _add_term(acc, rest, cc * coeff * e)
-
-        elif i == 3 and j == 2:
-            pt = km1_point(m1, n1)
-            _, cc, d = cfg.triple(pt)
-            _add_term(acc, _mono_times(mono, pt), d * coeff)
-            if cc:
-                hit = _mono_diff(mono, pt)
-                if hit is not None:
-                    e, rest = hit
-                    _add_term(acc, rest, cc * coeff * e)
-
-        elif i == 1 and j == 1:
-            for A in k1:
-                a1, _ = point_comps(A)
-                q_pt = (3 * m1 + A[0], 3 * n1 + A[1])
-                _q_then_p(acc, q_pt, A, a1 * n1, mono, coeff, cfg)
-            if diag:
-                _add_term(acc, mono, HALF_MU * coeff)
-
-        elif i == 2 and j == 2:
-            for X in k1 + km1:
-                _, x2 = point_comps(X)
-                q_pt = (3 * m1 + X[0], 3 * n1 + X[1])
-                _q_then_p(acc, q_pt, X, x2 * m1, mono, -coeff, cfg)
-            if diag:
-                _add_term(acc, mono, -HALF_MU * coeff)
-
-        elif i == 3 and j == 3:
-            for B in km1:
-                b1, _ = point_comps(B)
-                q_pt = (3 * m1 + B[0], 3 * n1 + B[1])
-                _q_then_p(acc, q_pt, B, b1 * n1, mono, coeff, cfg)
-            if diag:
-                _add_term(acc, mono, HALF_MU * coeff)
-
-        elif i == 3 and j == 1:
-            for A in k1:
-                a1, _ = point_comps(A)
-                q_pt = (3 * m1 - 2 + A[0], 3 * n1 - 2 + A[1])
-                _q_then_p(acc, q_pt, A, a1 * n1, mono, coeff, cfg)
-
-        elif i == 1 and j == 3:
-            for B in km1:
-                b1, _ = point_comps(B)
-                q_pt = (3 * m1 + 2 + B[0], 3 * n1 + 2 + B[1])
-                _q_then_p(acc, q_pt, B, b1 * n1, mono, coeff, cfg)
-
-        elif i == 2 and j == 1:
-            t = _term_P(k1_point(-m1, -n1), mono, coeff, cfg)
+    if i == 2 and j != 2:
+        # E21, E23: -mu P at the point of j's class at (-m1, -n1), plus
+        # Q P P over X in j's class and Y over every point present; the
+        # same-class pairs are the realization's double sum relabeled
+        # X <-> X', which is exact because the P's commute
+        c = _INDEX_CLASS[j]
+        p_pt = (-3 * m1 + c, -3 * n1 + c)
+        sx, sy = 3 * m1 - c, 3 * n1 - c
+        minus_mu = -(MU * q_pow(-m1 * n1))
+        for mono, coeff in v.terms.items():
+            t = _term_P(p_pt, mono, coeff, cfg)
             if t is not None:
-                _add_term(acc, t[0], -(MU * q_pow(-m1 * n1)) * t[1])
-            shift = (3 * m1 - 1, 3 * n1 - 1)
-            for A in k1:
-                a1, a2 = point_comps(A)
-                for A2 in k1:
-                    a21, _ = point_comps(A2)
-                    q_pt = (A[0] + A2[0] + shift[0], A[1] + A2[1] + shift[1])
-                    phase = n1 * a21 + a2 * m1 + a2 * a21
-                    _q_then_pp(acc, q_pt, A, A2, mono, -q_pow(phase) * coeff, cfg)
-                for B in km1:
-                    _, b2 = point_comps(B)
-                    q_pt = (A[0] + B[0] + shift[0], A[1] + B[1] + shift[1])
-                    phase = n1 * a1 + b2 * m1 + b2 * a1
-                    _q_then_pp(acc, q_pt, A, B, mono, -q_pow(phase) * coeff, cfg)
+                accumulate(acc, t[0], minus_mu * t[1])
+            neg = -coeff
+            for X, _ in mono:
+                if point_class(X) != c:
+                    continue
+                x1, _ = point_comps(X)
+                for Y, _ in mono:
+                    _, y2 = point_comps(Y)
+                    q_pt = (X[0] + Y[0] + sx, X[1] + Y[1] + sy)
+                    phase = n1 * x1 + y2 * m1 + y2 * x1
+                    _q_after_p(acc, q_pt, (X, Y), phase, mono, neg, cfg)
 
-        elif i == 2 and j == 3:
-            t = _term_P(km1_point(-m1, -n1), mono, coeff, cfg)
-            if t is not None:
-                _add_term(acc, t[0], -(MU * q_pow(-m1 * n1)) * t[1])
-            shift = (3 * m1 + 1, 3 * n1 + 1)
-            for B in km1:
-                b1, b2 = point_comps(B)
-                for A in k1:
-                    _, a2 = point_comps(A)
-                    q_pt = (A[0] + B[0] + shift[0], A[1] + B[1] + shift[1])
-                    phase = n1 * b1 + a2 * m1 + a2 * b1
-                    _q_then_pp(acc, q_pt, A, B, mono, -q_pow(phase) * coeff, cfg)
-                for B2 in km1:
-                    b21, _ = point_comps(B2)
-                    q_pt = (B[0] + B2[0] + shift[0], B[1] + B2[1] + shift[1])
-                    phase = n1 * b21 + b2 * m1 + b2 * b21
-                    _q_then_pp(acc, q_pt, B, B2, mono, -q_pow(phase) * coeff, cfg)
-
-        else:
-            raise AssertionError("unreachable")
+    else:
+        # E11, E22, E33, E31, E13: Q P over the present points of the row's classes
+        classes, offset, vacuum = _ONE_P_ROWS[(i, j)]
+        e22 = (i, j) == (2, 2)
+        sx, sy = 3 * m1 + offset, 3 * n1 + offset
+        vacuum = vacuum if (m1, n1) == (0, 0) else None
+        for mono, coeff in v.terms.items():
+            c = -coeff if e22 else coeff
+            for X, _ in mono:
+                if point_class(X) not in classes:
+                    continue
+                x1, x2 = point_comps(X)
+                phase = x2 * m1 if e22 else x1 * n1
+                _q_after_p(acc, (X[0] + sx, X[1] + sy), (X,), phase, mono, c, cfg)
+            if vacuum is not None:
+                accumulate(acc, mono, vacuum * coeff)
 
     return FockPoly._raw(acc)
 
@@ -382,7 +270,7 @@ def apply_D(which, v, cfg=DEFAULT_CONFIG):
         for pt, _ in mono:
             w = point_comps(pt)[which - 1]
             if w:
-                _q_then_p(acc, pt, pt, 0, mono, coeff * w, cfg)
+                _q_after_p(acc, pt, (pt,), 0, mono, coeff * w, cfg)
     return FockPoly._raw(acc)
 
 
@@ -400,4 +288,3 @@ def pi(x, v, cfg=DEFAULT_CONFIG):
             out = out + apply_D(2, v, cfg).scale(c)
         # central symbols act as zero
     return out
-

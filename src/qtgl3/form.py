@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from . import fock
 from .gl3 import matrix_bracket_terms
-from .scalars import HALF_MU, ONE, ZERO, ScalarPoly, q_pow
+from .scalars import HALF_MU, ONE, ZERO, ScalarPoly, accumulate, q_pow
 from .torus import TorusElement
 
 
@@ -109,16 +109,6 @@ def _cycles(perm):
             r = perm[r]
         out.append(cyc)
     return out
-
-
-def _accumulate(out, key, coeff):
-    """out[key] += coeff, dropping the key when the sum is exactly zero."""
-    s = out.get(key)
-    s = coeff if s is None else s + coeff
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
 
 
 class WordEngine:
@@ -211,7 +201,7 @@ class WordEngine:
                 i, j, mono[0], mono[1], side, 2, garg[0], garg[1]
             ):
                 for w, c in self._act(i2, j2, mono2, rest).items():
-                    _accumulate(res, w, coeff * c)
+                    accumulate(res, w, coeff * c)
         self._act_cache[key] = res
         return res
 
@@ -226,7 +216,7 @@ class WordEngine:
                 if not c0:
                     continue
                 for w, c in self.act_mono(i, j, mono, word).items():
-                    _accumulate(out, w, c0 * c)
+                    accumulate(out, w, c0 * c)
         return out
 
     def act_d(self, which, combo):
@@ -235,7 +225,7 @@ class WordEngine:
         for word, wc in combo.items():
             w = word_weight(word)[which - 1]
             if w:
-                _accumulate(out, word, wc * w)
+                accumulate(out, word, wc * w)
         return out
 
     def act_element(self, x, combo):
@@ -252,7 +242,7 @@ class WordEngine:
             else:
                 continue
             for w, cc in part.items():
-                _accumulate(out, w, c * cc)
+                accumulate(out, w, c * cc)
         return out
 
     # -- hermitian form, defining recursion ------------------------------

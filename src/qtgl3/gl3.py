@@ -17,7 +17,7 @@ everything and [d_s, d_t] = 0.
 
 from __future__ import annotations
 
-from .scalars import ONE, ScalarPoly, q_pow
+from .scalars import ONE, ScalarPoly, SparseSum, accumulate, q_pow
 from .torus import TorusElement
 
 CS = ("cs",)
@@ -43,23 +43,10 @@ def matrix_bracket_terms(i, j, m1, n1, k, l, m2, n2):
     return out
 
 
-class GlElement:
+class GlElement(SparseSum):
     """Formal linear combination of basis symbols with ScalarPoly coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {} if terms is None else {k: c for k, c in terms.items() if c}
-
-    @classmethod
-    def _raw(cls, terms):
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
+    __slots__ = ()
 
     @classmethod
     def matrix(cls, i, j, arg, coeff=ONE):
@@ -91,39 +78,6 @@ class GlElement:
     def d_t(cls, coeff=ONE):
         return cls._raw({DT: coeff} if coeff else {})
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            s = c if s is None else s + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return GlElement._raw(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GlElement._raw({k: -c for k, c in self.terms.items()})
-
-    def scale(self, coeff):
-        if not coeff:
-            return GlElement._raw({})
-        return GlElement._raw({k: coeff * c for k, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, GlElement):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -136,9 +90,6 @@ class GlElement:
             else:
                 parts.append(f"[{c}]·{_SPECIAL_NAMES[sym]}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<GlElement {self}>"
 
     def to_json(self):
         out = []
@@ -198,13 +149,7 @@ def bracket(x, y):
             if not c0:
                 continue
             for sym, c in _bracket_symbols(sx, sy):
-                s = terms.get(sym)
-                cc = c0 * c
-                s = cc if s is None else s + cc
-                if s:
-                    terms[sym] = s
-                else:
-                    terms.pop(sym, None)
+                accumulate(terms, sym, c0 * c)
     return GlElement._raw(terms)
 
 
@@ -222,12 +167,7 @@ def omega(x):
         else:
             coeff = c.conjugate()
             key = sym
-        s = terms.get(key)
-        s = coeff if s is None else s + coeff
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
+        accumulate(terms, key, coeff)
     return GlElement._raw(terms)
 
 

@@ -9,6 +9,10 @@ the unit circle, so conjugation sends q -> q^-1) and d a nonnegative
 integer (mu is a formal real parameter).  All operations are exact; the
 only approximate operation is `evaluate`, which substitutes a numeric
 unit-circle q and a real mu.
+
+`SparseSum` is the term algebra shared by the sparse sums with these
+coefficients (torus elements, Lie-algebra elements, module polynomials),
+and `accumulate` is the one "add, drop an exact zero" step they all use.
 """
 
 from __future__ import annotations
@@ -108,9 +112,7 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-G_ZERO = GaussianRational(0)
 G_ONE = GaussianRational(1)
-G_I = GaussianRational(0, 1)
 
 
 class ScalarPoly:
@@ -119,6 +121,9 @@ class ScalarPoly:
     `terms` maps (q_exponent, mu_degree) -> GaussianRational and never
     stores a zero coefficient, so equality of values is dict equality.
     Instances are treated as immutable: no method mutates `terms`.
+    Its ring operations are the hot path of every evaluator, so they are
+    written out here (with zero-operand fast paths) instead of going
+    through `SparseSum`.
     """
 
     __slots__ = ("terms",)
@@ -301,7 +306,6 @@ ZERO = ScalarPoly._raw({})
 ONE = ScalarPoly._raw({(0, 0): G_ONE})
 MU = ScalarPoly._raw({(0, 1): G_ONE})
 HALF_MU = ScalarPoly._raw({(0, 1): GaussianRational(Fraction(1, 2))})
-MINUS_ONE = ScalarPoly._raw({(0, 0): GaussianRational(-1)})
 
 
 def q_pow(e):
@@ -314,3 +318,71 @@ def q_pow(e):
 
 
 _Q_CACHE = {0: ONE}
+
+
+
+def accumulate(out, key, coeff):
+    """out[key] += coeff, dropping the key when the sum is exactly zero."""
+    s = out.get(key)
+    s = coeff if s is None else s + coeff
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+class SparseSum:
+    """Finite sum  sum_k terms[k] * k  of hashable keys with ScalarPoly coefficients.
+
+    The shared term algebra of torus elements, Lie-algebra elements and
+    module polynomials: `terms` never stores a zero coefficient, so
+    equality is dict equality, and instances are treated as immutable.
+    Subclasses add their own constructors, products and rendering.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {} if terms is None else {k: c for k, c in terms.items() if c}
+
+    @classmethod
+    def _raw(cls, terms):
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(terms, k, c)
+        return self._raw(terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self.terms.items()})
+
+    def scale(self, coeff):
+        if not coeff:
+            return self._raw({})
+        return self._raw({k: coeff * c for k, c in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        # sums of different kinds never compare equal, even with equal terms
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self}>"

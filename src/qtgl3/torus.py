@@ -8,7 +8,7 @@ comparison.
 
 from __future__ import annotations
 
-from .scalars import ONE, ScalarPoly, q_pow
+from .scalars import ONE, ScalarPoly, SparseSum, accumulate, q_pow
 
 # A torus monomial s^m t^n is the exponent pair (m, n).
 Mono = tuple
@@ -29,23 +29,10 @@ def mono_bar(x):
     return q_pow(x[0] * x[1]), (-x[0], -x[1])
 
 
-class TorusElement:
+class TorusElement(SparseSum):
     """Finite linear combination of torus monomials with ScalarPoly coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {} if terms is None else {k: c for k, c in terms.items() if c}
-
-    @classmethod
-    def _raw(cls, terms):
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
+    __slots__ = ()
 
     @classmethod
     def one(cls):
@@ -57,40 +44,12 @@ class TorusElement:
             return cls._raw({})
         return cls._raw({(m, n): coeff})
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            s = c if s is None else s + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return TorusElement._raw(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TorusElement._raw({k: -c for k, c in self.terms.items()})
-
-    def scale(self, coeff):
-        if not coeff:
-            return TorusElement._raw({})
-        return TorusElement._raw({k: coeff * c for k, c in self.terms.items()})
-
     def __mul__(self, other):
         out = {}
         for x, cx in self.terms.items():
             for y, cy in other.terms.items():
                 phase, z = mono_mul(x, y)
-                c = cx * cy * phase
-                s = out.get(z)
-                s = c if s is None else s + c
-                if s:
-                    out[z] = s
-                else:
-                    out.pop(z, None)
+                accumulate(out, z, cx * cy * phase)
         return TorusElement._raw(out)
 
     def kappa(self):
@@ -115,17 +74,6 @@ class TorusElement:
             {k: ScalarPoly.from_rational(k[1]) * c for k, c in self.terms.items()}
         )
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -133,9 +81,6 @@ class TorusElement:
         for (m, n) in sorted(self.terms):
             parts.append(f"[{self.terms[(m, n)]}]·s^{m}·t^{n}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<TorusElement {self}>"
 
     def to_json(self):
         """Array-of-terms encoding [[m, n, coeff-string], ...]."""

@@ -132,3 +132,17 @@ def test_gram_json_is_byte_identical():
                              capture_output=True)
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout).hexdigest() == want, level
+
+
+def test_pair_errors_name_their_argument():
+    cases = [
+        (("gram", "--level", "1,x"), "bad level '1,x'"),
+        (("gram", "--level=-1,0"), "level components must be nonnegative"),
+        (("gram", "--level", "1,0", "--constraint", "2"), "bad constraint '2'"),
+        (("gram", "--level", "1,0", "--constraint=0,-3"),
+         "constraint components must be nonnegative"),
+    ]
+    for args, message in cases:
+        res = run_cli(*args)
+        assert_usage_error(res)
+        assert message in res.stderr

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from qtgl3.fock import (
     point_comps,
 )
 from qtgl3.gl3 import GlElement, bracket
-from qtgl3.scalars import HALF_MU, MU, ONE, ScalarPoly
+from qtgl3.scalars import HALF_MU, MU, ONE, ScalarPoly, q_pow
 from qtgl3.verify import (
     derivation_suite,
     homomorphism_suite,
@@ -155,3 +156,54 @@ def test_fock_poly_json():
     js = v.to_json()
     assert {"monomial": [[1, 1, 2]], "coeff": "(1+0i)·q^0·μ^1"} in js
     assert {"monomial": [[-1, -1, 1]], "coeff": "(1+0i)·q^0·μ^0"} in js
+
+
+# SHA-256 of the rendered outputs of every operator under two configs;
+# a rewrite of the operators must not change a single term.
+PINNED_OPERATOR_DIGEST = (
+    "f13736c6b2e96667747368148f2ff927931c7c80399f9314c31435531556ab2c"
+)
+
+
+def _operator_transcript():
+    polys = [rand_poly(random.Random(seed), nterms=3) for seed in range(5)]
+    polys.append(FockPoly.one())
+    cfgs = [DEFAULT_CONFIG, rand_config(random.Random(31))]
+    points = [(1, 1), (-1, -1), (4, -2), (2, 5)]
+    lines = []
+    for cfg in cfgs:
+        for v in polys:
+            for i in range(1, 4):
+                for j in range(1, 4):
+                    for m, n in ((0, 0), (1, 0), (0, 1), (1, -1), (-2, 1)):
+                        lines.append(str(apply_generator(i, j, m, n, v, cfg)))
+            for pt in points:
+                lines.append(str(apply_P(pt, v, cfg)))
+                lines.append(str(apply_Q(pt, v, cfg)))
+            lines.append(str(apply_D(1, v, cfg)))
+            lines.append(str(apply_D(2, v, cfg)))
+    return "\n".join(lines)
+
+
+def test_operator_outputs_are_pinned():
+    digest = hashlib.sha256(_operator_transcript().encode()).hexdigest()
+    assert digest == PINNED_OPERATOR_DIGEST
+
+
+def test_homomorphism_suite_runs_the_shipped_pi(monkeypatch):
+    assert homomorphism_suite(samples=10, seed=11).ok
+    shipped = fock.pi
+
+    def pi_with_stray_q(x, v, cfg=DEFAULT_CONFIG):
+        out = FockPoly.zero()
+        for sym, c in x.terms.items():
+            w = shipped(GlElement({sym: c}), v, cfg)
+            if sym[:3] == ("E", 1, 2):
+                w = w.scale(q_pow(1))
+            out = out + w
+        return out
+
+    monkeypatch.setattr(fock, "pi", pi_with_stray_q)
+    rep = homomorphism_suite(samples=10, seed=11)
+    assert not rep.ok
+    assert "pi([x,y])v" in rep.failures[0]

@@ -4,7 +4,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from qtgl3.fock import FockPoly
+from qtgl3.gl3 import CS, CT, DS, DT, GlElement
 from qtgl3.scalars import MU, ONE, ZERO, GaussianRational, ScalarPoly, q_pow
+from qtgl3.torus import TorusElement
 
 Q = q_pow(1)
 QINV = q_pow(-1)
@@ -143,3 +146,66 @@ def test_zero_operand_fast_paths_match_general_path(a, b):
         assert ZERO + x == x and x + ZERO == x
         assert x - ZERO == x and ZERO - x == _general_neg(x)
     assert not ZERO.terms
+
+
+# -- the shared term algebra of the SparseSum subclasses ---------------------
+
+# few small coefficients, so sums cancel often
+small_coeffs = st.builds(
+    lambda k, e: ScalarPoly.term(k, q_exp=e), st.integers(-2, 2), st.integers(-1, 1)
+)
+SPARSE_KEYS = {
+    TorusElement: st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    GlElement: st.one_of(
+        st.tuples(st.just("E"), st.integers(1, 3), st.integers(1, 3),
+                  st.integers(-1, 1), st.integers(-1, 1)),
+        st.sampled_from([CS, CT, DS, DT]),
+    ),
+    FockPoly: st.sampled_from([
+        (), (((1, 1), 1),), (((1, 1), 2),), (((-1, -1), 1),),
+        (((-1, -1), 1), ((1, 1), 1)),
+    ]),
+}
+
+
+@st.composite
+def sparse_pairs(draw):
+    """(class, x, y, c): y negates a random subset of x's terms, so x + y cancels."""
+    cls = draw(st.sampled_from(list(SPARSE_KEYS)))
+    terms = st.dictionaries(SPARSE_KEYS[cls], small_coeffs, max_size=4)
+    x = cls(draw(terms))
+    y_terms = draw(terms)
+    for k, c in x.terms.items():
+        if draw(st.booleans()):
+            y_terms[k] = -c
+    return cls, x, cls(y_terms), draw(small_coeffs)
+
+
+def _termwise(x, y, op):
+    keys = set(x.terms) | set(y.terms)
+    return type(x)({k: op(x.terms.get(k, ZERO), y.terms.get(k, ZERO)) for k in keys})
+
+
+@given(sparse_pairs())
+@settings(max_examples=150, deadline=None)
+def test_sparse_sum_operations(case):
+    cls, x, y, c = case
+    results = {
+        "add": x + y, "sub": x - y, "neg": -x, "scale": x.scale(c), "self_sub": x - x,
+    }
+    for name, r in results.items():
+        assert type(r) is cls, name
+        assert all(r.terms.values()), f"{name} stored a zero coefficient"
+    assert results["add"] == _termwise(x, y, lambda a, b: a + b)
+    assert results["sub"] == _termwise(x, y, lambda a, b: a - b)
+    assert results["self_sub"] == cls.zero() and not results["self_sub"]
+    assert results["scale"] == cls({k: c * v for k, v in x.terms.items()})
+
+
+def test_sparse_sums_of_different_kinds_never_compare_equal():
+    for a in SPARSE_KEYS:
+        assert a({(1, 1): ONE}) == a({(1, 1): ONE})
+        for b in SPARSE_KEYS:
+            if a is not b:
+                assert a.zero() != b.zero()
+                assert a({(1, 1): ONE}) != b({(1, 1): ONE})
