@@ -22,10 +22,22 @@ evaluators agree, and that agreement is part of the test suite.
 
 The action and the defining recursion run on word ids: a `WordEngine`
 numbers each word it meets and stores its peel split once, so the memo
-keys are `(i, j, mono, word_id)` for the action and `(u_id, v_id)` for
-the form instead of nested `Word` tuples.  Only the public methods see
-`Word`s.  The combinatorial evaluator works on the words themselves and
-shares no table with the id path.
+keys are `(i, j, mono, word_id)` for the action and the pair
+`(u_id, v_id)`, packed into one integer, for the form instead of nested
+`Word` tuples.  Only the public methods see
+`Word`s.
+
+The recursions also run on integer polynomials instead of `ScalarPoly`.
+Every value of the form is a polynomial in q^±1 and mu with integer
+coefficients, and the action brings in at most a factor 1/2, from the
+vacuum values above.  So the action is stored doubled (2 E11(1).1 = mu),
+which makes every action coefficient an integer polynomial, and a form
+value (u, v) is stored as 2^(k+l) (u, v) for u of level (k, l): peeling
+one factor off u multiplies by one doubled action coefficient.  The
+public methods divide the factor back out exactly, so their values do
+not depend on any integrality.  The combinatorial evaluator works on the
+words themselves, stays on `ScalarPoly`, and shares no table with the
+id path.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from typing import NamedTuple
 
 from . import fock
 from .gl3 import matrix_bracket_terms
-from .scalars import HALF_MU, ONE, ZERO, ScalarPoly, accumulate, q_pow
+from .scalars import ONE, ZERO, GaussianRational, ScalarPoly, accumulate
 from .torus import TorusElement
 
 
@@ -87,6 +99,24 @@ def combo_level(combo):
     return levels.pop()
 
 
+# Integer polynomials, the value ring of the engine's recursions: a dict
+# {key: int} with key = (q_exp << _MU_BITS) + mu_deg, so multiplying two
+# monomials adds their keys (mu degrees stay far below 2^_MU_BITS).  No
+# zero coefficient is stored.  Memo values are shared between entries and
+# never mutated; every exact zero, and every empty action result, is the
+# one `_IZERO`.
+_MU_BITS = 20
+_MU_MASK = (1 << _MU_BITS) - 1
+_IZERO = {}
+_IONE = {0: 1}
+_ITWO = {0: 2}
+_IMU = {1: 1}
+_IMINUS_MU = {1: -1}
+
+# A form memo key packs the word ids (u_id, v_id) into u_id << _ID_BITS | v_id.
+_ID_BITS = 32
+
+
 def _insert_sorted(args, a):
     out = list(args)
     out.append(a)
@@ -118,29 +148,35 @@ class WordEngine:
     (the vacuum is 0), and its peel split `(side, first_arg, rest_id)`
     is stored once: side 1 when the word starts with an E12 factor, 3
     when it starts with an E32 factor.  The recursions run on ids, so
-    their memo keys are flat tuples of small integers:
+    their memo keys are small integers or flat tuples of them:
 
-        _act_cache     (i, j, mono, word_id) -> {word_id: coefficient}
-        _form_cache    (u_id, v_id) -> form value
+        _act_cache     (i, j, mono, word_id) -> {word_id: 2 x coefficient}
+        _form_cache    u_id << _ID_BITS | v_id -> 2^(k+l) x form value,
+                       for u of level (k, l)
         _insert_cache  (word_id, side, arg) -> id of the word with the
                        factor E12(arg) (side 1) or E32(arg) (side 3) added
 
-    The public methods take and return `Word`s.  The tables grow for the
-    life of the engine; use a fresh engine to bound them.
-
-    `bracket_terms` may be overridden (tests use a corrupted version as
-    a negative control); it must map monomial generator pairs to the
-    matrix part of their bracket.
+    Coefficients and form values in these tables are integer polynomials
+    (see `_MU_BITS`), doubled as the module docstring explains; only
+    `act_mono` and `form_words` turn them into `ScalarPoly`s, through
+    `_scalar` and its tables `_monos` and `_coeffs`.  The
+    combinatorial evaluator keeps its own tables, `_comb_tables` (entry
+    patterns and cycle lists per level) and `_comb_weights` (word ->
+    weight).  The public methods take and return `Word`s.  The tables
+    grow for the life of the engine; use a fresh engine to bound them.
     """
 
-    def __init__(self, bracket_terms=None):
-        self.bracket_terms = bracket_terms or matrix_bracket_terms
+    def __init__(self):
         self._ids = {VACUUM: 0}
         self._words = [VACUUM]
         self._peel = [None]
         self._insert_cache = {}
         self._act_cache = {}
         self._form_cache = {}
+        self._monos = {}
+        self._coeffs = {}
+        self._comb_tables = {}
+        self._comb_weights = {}
 
     # -- word ids ---------------------------------------------------------
 
@@ -171,37 +207,82 @@ class WordEngine:
             res = self._insert_cache[key] = self._intern(w)
         return res
 
+    def _scalar(self, poly, denom):
+        """The ScalarPoly poly / denom of an integer polynomial.
+
+        A Gram holds one such value per same-weight pair, so the (q_exp,
+        mu_deg) keys and the reduced coefficients are shared between
+        results instead of being built anew each time.
+        """
+        if not poly:
+            return ZERO
+        monos = self._monos
+        coeffs = self._coeffs.get(denom)
+        if coeffs is None:
+            coeffs = self._coeffs[denom] = {}
+        terms = {}
+        for k, c in poly.items():
+            mono = monos.get(k)
+            if mono is None:
+                mono = monos[k] = (k >> _MU_BITS, k & _MU_MASK)
+            g = coeffs.get(c)
+            if g is None:
+                g = coeffs[c] = GaussianRational._make(c, 0, denom)
+            terms[mono] = g
+        return ScalarPoly._raw(terms)
+
     # -- action ---------------------------------------------------------
 
     def act_mono(self, i, j, mono, word):
         """E_ij(s^m t^n) . word expanded in the word basis (central terms dropped)."""
         words = self._words
-        return {words[w]: c for w, c in self._act(i, j, mono, self._intern(word)).items()}
+        return {words[w]: self._scalar(c, 2)
+                for w, c in self._act(i, j, mono, self._intern(word)).items()}
 
     def _act(self, i, j, mono, wid):
-        """E_ij(mono) . word `wid` as {word id: coefficient}."""
+        """2 E_ij(mono) . word `wid` as {word id: integer polynomial}."""
         if j == 2 and i != 2:  # E12, E32 just add a factor; side = i
-            return {self._insert(wid, i, mono): ONE}
+            return {self._insert(wid, i, mono): _ITWO}
         key = (i, j, mono, wid)
         res = self._act_cache.get(key)
         if res is not None:
             return res
         if not wid:
             if i == j and mono == (0, 0):
-                res = {0: -HALF_MU if i == 2 else HALF_MU}
+                # 2 E_ii(1).1 = mu for E11 and E33, -mu for E22
+                res = {0: _IMINUS_MU if i == 2 else _IMU}
             else:
-                res = {}
+                res = _IZERO
         else:
             # E_ij(a) g(b) rest = g(b) E_ij(a) rest + [E_ij(a), g(b)] rest
             side, garg, rest = self._peel[wid]
             # adding one fixed factor is injective on words: no keys collide
             res = {self._insert(w, side, garg): c
                    for w, c in self._act(i, j, mono, rest).items()}
-            for (i2, j2, mono2, coeff) in self.bracket_terms(
+            # looked up in this module at call time, so it can be wrapped
+            for (i2, j2, mono2, sign, e) in matrix_bracket_terms(
                 i, j, mono[0], mono[1], side, 2, garg[0], garg[1]
             ):
+                shift = e << _MU_BITS
                 for w, c in self._act(i2, j2, mono2, rest).items():
-                    accumulate(res, w, coeff * c)
+                    old = res.get(w)
+                    if old is None:
+                        res[w] = {k + shift: sign * x for k, x in c.items()}
+                        continue
+                    new = dict(old)  # `old` may be shared with another memo entry
+                    for k, x in c.items():
+                        k += shift
+                        x = new.get(k, 0) + sign * x
+                        if x:
+                            new[k] = x
+                        else:
+                            del new[k]
+                    if new:
+                        res[w] = new
+                    else:
+                        del res[w]
+            if not res:
+                res = _IZERO
         self._act_cache[key] = res
         return res
 
@@ -249,26 +330,40 @@ class WordEngine:
 
     def form_words(self, u, v):
         """(u, v) by peeling u left to right; antilinear in u, linear in v."""
-        return self._form(self._intern(u), self._intern(v))
+        scaled = self._form(self._intern(u), self._intern(v))
+        return self._scalar(scaled, 1 << (len(u.e12) + len(u.e32)))
 
     def _form(self, uid, vid):
-        """form_words on word ids."""
-        key = (uid, vid)
-        res = self._form_cache.get(key)
+        """2^(k+l) form_words on word ids, for u of level (k, l)."""
+        cache = self._form_cache
+        key = (uid << _ID_BITS) | vid
+        res = cache.get(key)
         if res is not None:
             return res
         if not uid:
-            res = ZERO if vid else ONE
+            res = _IZERO if vid else _IONE
         else:
             side, (m, n), rest = self._peel[uid]
-            # omega(E12(s^m t^n)) = -q^(mn) E21(s^-m t^-n), same shape for E32/E23
-            total = ZERO
+            # omega(E12(s^m t^n)) = -q^(mn) E21(s^-m t^-n), same shape for E32/E23;
+            # each doubled action coefficient carries one factor 2 of 2^(k+l)
+            total = {}
+            get = total.get
+            rest_key = rest << _ID_BITS
             for w, c in self._act(2, side, (-m, -n), vid).items():
-                sub = self._form(rest, w)
-                if sub.terms:
-                    total = total + c * sub
-            res = -(q_pow(m * n) * total) if total.terms else ZERO
-        self._form_cache[key] = res
+                sub = cache.get(rest_key | w)
+                if sub is None:
+                    sub = self._form(rest, w)
+                if sub:
+                    for k1, x1 in c.items():
+                        for k2, x2 in sub.items():
+                            k = k1 + k2
+                            total[k] = get(k, 0) + x1 * x2
+            if total:
+                shift = (m * n) << _MU_BITS
+                res = {k + shift: -x for k, x in total.items() if x} or _IZERO
+            else:
+                res = _IZERO
+        cache[key] = res
         return res
 
     def form(self, cu, cv):
@@ -301,20 +396,20 @@ class WordEngine:
         that counts chain orderings separately (kept as a negative
         control; it overcounts already at total level 2).
         """
-        k, l = word_level(u)
-        if (k, l) != word_level(v):
-            return ScalarPoly.zero()
-        if word_weight(u) != word_weight(v):
+        k, l = len(u.e12), len(u.e32)
+        if k != len(v.e12) or l != len(v.e32):
+            return ZERO
+        if self._comb_weight(u) != self._comb_weight(v):
             # Each chain below ends on the monomial s^cur_m t^cur_n, where
             # (cur_m, cur_n) sums (mc - mr, nc - nr) over the chain's rows.
             # The chains of a (sigma, tau) pair use every row and every
             # column once, so their (cur_m, cur_n) add up to
             # weight(v) - weight(u).  When that is nonzero, some chain is a
             # non-identity monomial, its kappa is 0, and every term dies.
-            return ScalarPoly.zero()
-        n_tot = k + l
-        if n_tot == 0:
+            return ZERO
+        if not k + l:
             return ONE
+        patterns, cycle_lists = self._comb_level_table(k, l)
         rows = list(u.e12) + list(u.e32)
         cols = list(v.e12) + list(v.e32)
         # lam[r][c] = bar(s^mr t^nr) * s^mc t^nc = q^(mr*nr - nr*mc) s^(mc-mr) t^(nc-nr)
@@ -328,44 +423,58 @@ class WordEngine:
             for r, (mr, nr) in enumerate(rows)
         ]
         acc = {}
-        sigmas_r = list(itertools.permutations(range(k)))
-        sigmas_u = list(itertools.permutations(range(k, n_tot)))
-        taus = [
-            (perm, _cycles(perm)) for perm in itertools.permutations(range(n_tot))
-        ]
-        for sig_r in sigmas_r:
-            for sig_u in sigmas_u:
-                col_of = sig_r + sig_u
-                for _, cycles in taus:
-                    phase = 0
-                    dead = False
+        for col_of in patterns:
+            for cycles in cycle_lists:
+                phase = 0
+                dead = False
+                for cyc in cycles:
+                    cur_m = cur_n = e_tot = 0
+                    for r in cyc:
+                        e, dm, dn = lam[r][col_of[r]]
+                        e_tot += e + cur_n * dm
+                        cur_m += dm
+                        cur_n += dn
+                    if cur_m or cur_n:
+                        dead = True  # kappa of a non-identity monomial
+                        break
+                    phase += e_tot
+                if dead:
+                    continue
+                mult = 1
+                if not identify_block_order:
+                    sizes = {}
                     for cyc in cycles:
-                        cur_m = cur_n = e_tot = 0
-                        for r in cyc:
-                            e, dm, dn = lam[r][col_of[r]]
-                            e_tot += e + cur_n * dm
-                            cur_m += dm
-                            cur_n += dn
-                        if cur_m or cur_n:
-                            dead = True  # kappa of a non-identity monomial
-                            break
-                        phase += e_tot
-                    if dead:
-                        continue
-                    mult = 1
-                    if not identify_block_order:
-                        sizes = {}
-                        for cyc in cycles:
-                            sizes[len(cyc)] = sizes.get(len(cyc), 0) + 1
-                        for cnt in sizes.values():
-                            for f in range(2, cnt + 1):
-                                mult *= f
-                    key = (phase, len(cycles))
-                    acc[key] = acc.get(key, 0) + mult
-        out = ScalarPoly.zero()
+                        sizes[len(cyc)] = sizes.get(len(cyc), 0) + 1
+                    for cnt in sizes.values():
+                        for f in range(2, cnt + 1):
+                            mult *= f
+                key = (phase, len(cycles))
+                acc[key] = acc.get(key, 0) + mult
+        out = ZERO
         for (e, d), count in acc.items():
             out = out + ScalarPoly.term(count, q_exp=e, mu_deg=d)
         return out
+
+    def _comb_weight(self, w):
+        wt = self._comb_weights.get(w)
+        if wt is None:
+            wt = self._comb_weights[w] = word_weight(w)
+        return wt
+
+    def _comb_level_table(self, k, l):
+        """Block-diagonal entry patterns (column of each row) and the cycle
+        lists of every row permutation at level (k, l), built once."""
+        table = self._comb_tables.get((k, l))
+        if table is None:
+            n_tot = k + l
+            patterns = [
+                sig_r + sig_u
+                for sig_r in itertools.permutations(range(k))
+                for sig_u in itertools.permutations(range(k, n_tot))
+            ]
+            cycle_lists = [_cycles(p) for p in itertools.permutations(range(n_tot))]
+            table = self._comb_tables[(k, l)] = (patterns, cycle_lists)
+        return table
 
     # -- gram matrices ----------------------------------------------------
 

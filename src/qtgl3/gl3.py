@@ -31,15 +31,17 @@ _SPECIAL_NAMES = {CS: "c_s", CT: "c_t", DS: "d_s", DT: "d_t"}
 def matrix_bracket_terms(i, j, m1, n1, k, l, m2, n2):
     """Matrix part of the bracket of two monomial matrix symbols.
 
-    Returns [(i2, j2, (m, n), coeff), ...]; the central contribution is
+    Returns [(i2, j2, (m, n), sign, q_exp), ...], one term
+    sign * q^q_exp * E_i2j2(s^m t^n) each, in plain integers so the word
+    engine can run on integer polynomials; the central contribution is
     handled separately by `bracket`.
     """
     out = []
     mono = (m1 + m2, n1 + n2)
     if j == k:
-        out.append((i, l, mono, q_pow(n1 * m2)))
+        out.append((i, l, mono, 1, n1 * m2))
     if i == l:
-        out.append((k, j, mono, -q_pow(n2 * m1)))
+        out.append((k, j, mono, -1, n2 * m1))
     return out
 
 
@@ -117,8 +119,8 @@ def _bracket_symbols(x, y):
         _, i, j, m1, n1 = x
         _, k, l, m2, n2 = y
         out = [
-            (("E", i2, j2, mono[0], mono[1]), c)
-            for (i2, j2, mono, c) in matrix_bracket_terms(i, j, m1, n1, k, l, m2, n2)
+            (("E", i2, j2, mono[0], mono[1]), q_pow(e) if sign > 0 else -q_pow(e))
+            for (i2, j2, mono, sign, e) in matrix_bracket_terms(i, j, m1, n1, k, l, m2, n2)
         ]
         if j == k and i == l and m1 + m2 == 0 and n1 + n2 == 0:
             phase = q_pow(n1 * m2)

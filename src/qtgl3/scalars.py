@@ -104,6 +104,9 @@ class GaussianRational:
         return complex(self.a / self.d, self.b / self.d)
 
     def __str__(self):
+        if self.d == 1:  # the common integer case, rendered as Fraction would
+            b = self.b
+            return f"({self.a}{'+' if b >= 0 else '-'}{abs(b)}i)"
         re, im = self.re, self.im
         sign = "+" if im >= 0 else "-"
         return f"({re}{sign}{abs(im)}i)"
@@ -221,7 +224,12 @@ class ScalarPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = ScalarPoly.from_rational(other)
+            if not other or not self.terms:
+                return ZERO
+            return ScalarPoly._raw({
+                key: GaussianRational._make(c.a * other, c.b * other, c.d)
+                for key, c in self.terms.items()
+            })
         if not isinstance(other, ScalarPoly):
             return NotImplemented
         a, b = self.terms, other.terms

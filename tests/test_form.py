@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -385,3 +386,56 @@ def test_act_element_sums_its_symbols():
     eng = WordEngine()
     assert eng.act_element(x, {w: ONE}) == {VACUUM: -MU, w: ScalarPoly.from_rational(4)}
     assert eng.act_element(GlElement.c_t() + GlElement.d_t(), {w: ONE}) == {}
+
+
+# -- pinned action outputs --------------------------------------------------
+
+# SHA-256 of the rendered act_mono outputs for all nine (i, j) at five
+# monomials, on every word of total level <= 2 at window 1 and a seeded
+# sample of level-3 words; a change of coefficient ring must not move a term.
+PINNED_ACTION_DIGEST = (
+    "d61e8e003f3ddb90e167911a4e4f38284df77b3bd94690b1a97c421effed0df2"
+)
+
+LEVEL3_SAMPLE = random.Random(30).sample(
+    [w for k in range(4) for w in enumerate_words((k, 3 - k), window=1)], 40)
+
+
+def _action_transcript():
+    eng = WordEngine()
+    lines = []
+    for w in LEVEL2_WORDS + LEVEL3_SAMPLE:
+        for i in range(1, 4):
+            for j in range(1, 4):
+                for mono in ((0, 0), (1, 0), (0, 1), (1, -1), (-1, 1)):
+                    out = eng.act_mono(i, j, mono, w)
+                    terms = sorted(f"{word_str(w2)}={c}" for w2, c in out.items())
+                    lines.append(f"E{i}{j}{mono} {word_str(w)} -> {'; '.join(terms)}")
+    return "\n".join(lines)
+
+
+def test_act_mono_outputs_are_pinned():
+    digest = hashlib.sha256(_action_transcript().encode()).hexdigest()
+    assert digest == PINNED_ACTION_DIGEST
+
+
+def test_form_memo_holds_integer_polynomials():
+    eng = WordEngine()
+    eng.gram((2, 1), window=1)
+    assert eng._form_cache
+    for value in eng._form_cache.values():
+        assert all(type(c) is int for c in value.values())
+    for words in eng._act_cache.values():
+        for coeff in words.values():
+            assert all(type(c) is int for c in coeff.values())
+
+
+def test_vacuum_half_mu_mixes_denominators():
+    # E11(1).E12(a).1 = E12(a) E11(1).1 + [E11(1), E12(a)].1 = (1 + mu/2) E12(a).1
+    eng = WordEngine()
+    half = ScalarPoly.from_rational(Fraction(1, 2))
+    for a in ((0, 0), (1, -1), (2, 3)):
+        w = make_word([a], [])
+        assert eng.act_mono(1, 1, (0, 0), w) == {w: ONE + half * MU}
+        # E22(1).1 = -(mu/2), and E22 commutes with E12 only up to -E12(a)
+        assert eng.act_mono(2, 2, (0, 0), w) == {w: -ONE - half * MU}

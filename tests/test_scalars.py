@@ -1,7 +1,7 @@
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qtgl3.fock import FockPoly
@@ -113,6 +113,29 @@ def test_gaussian_rational_fields():
     assert g.re == Fraction(3, 4)
     assert g.im == Fraction(-1, 6)
     assert (g * g.conjugate()).im == 0
+
+
+@given(st.integers(-6, 6), scalar_polys)
+@settings(max_examples=80, deadline=None)
+def test_int_operand_scales_like_a_constant_poly(k, p):
+    want = ScalarPoly.from_rational(k) * p
+    assert k * p == p * k == want
+    assert all((k * p).terms.values())
+    if not k:
+        assert k * p is ZERO
+
+
+@given(st.integers(-40, 40), st.integers(-40, 40), st.sampled_from([1, 2, 3, 6, 12]))
+@example(5, 0, 1)
+@example(-3, -7, 1)
+@example(0, -1, 1)
+@example(-1, 0, 2)
+@settings(max_examples=120, deadline=None)
+def test_gaussian_rational_str_matches_fraction_rendering(a, b, d):
+    g = GaussianRational(Fraction(a, d), Fraction(b, d))
+    re, im = Fraction(a, d), Fraction(b, d)
+    assert str(g) == f"({re}{'+' if im >= 0 else '-'}{abs(im)}i)"
+    assert str(GaussianRational._make(a, b, d)) == str(g)
 
 
 def _general_add(a, b):
