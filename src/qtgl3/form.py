@@ -450,10 +450,12 @@ class WordEngine:
                             mult *= f
                 key = (phase, len(cycles))
                 acc[key] = acc.get(key, 0) + mult
-        out = ZERO
-        for (e, d), count in acc.items():
-            out = out + ScalarPoly.term(count, q_exp=e, mu_deg=d)
-        return out
+        # every count is positive: acc is the term dict of the result
+        if not acc:
+            return ZERO
+        return ScalarPoly._raw(
+            {key: GaussianRational._make(count, 0, 1) for key, count in acc.items()}
+        )
 
     def _comb_weight(self, w):
         wt = self._comb_weights.get(w)

@@ -17,7 +17,7 @@ everything and [d_s, d_t] = 0.
 
 from __future__ import annotations
 
-from .scalars import ONE, ScalarPoly, SparseSum, accumulate, q_pow
+from .scalars import ONE, SparseSum, accumulate, q_pow
 from .torus import TorusElement
 
 CS = ("cs",)
@@ -111,7 +111,10 @@ def _sym_sort_key(sym):
 
 
 def _bracket_symbols(x, y):
-    """Bracket of two basis symbols as a list of (symbol, coeff)."""
+    """Bracket of two basis symbols as a list of (symbol, coeff).
+
+    A coeff is a ScalarPoly, or a plain int for a derivation weight.
+    """
     kx, ky = x[0], y[0]
     if kx == "cs" or kx == "ct" or ky == "cs" or ky == "ct":
         return []
@@ -125,9 +128,9 @@ def _bracket_symbols(x, y):
         if j == k and i == l and m1 + m2 == 0 and n1 + n2 == 0:
             phase = q_pow(n1 * m2)
             if m1:
-                out.append((CS, ScalarPoly.from_rational(m1) * phase))
+                out.append((CS, m1 * phase))
             if n1:
-                out.append((CT, ScalarPoly.from_rational(n1) * phase))
+                out.append((CT, n1 * phase))
         return out
     if kx == "E":
         # [E, d] = -[d, E]
@@ -139,7 +142,7 @@ def _bracket_symbols(x, y):
     w = m if kx == "ds" else n
     if w == 0:
         return []
-    return [(y, ScalarPoly.from_rational(w))]
+    return [(y, w)]
 
 
 def bracket(x, y):

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: Gaussian rationals and q/mu polynomials.
+"""Exact scalar arithmetic: Gaussian rationals, q/mu polynomials, sparse sums.
 
 Every quantity in the system is a finite sum
 
@@ -8,11 +8,14 @@ with a, b rational, e an integer (q is a formal Laurent variable kept on
 the unit circle, so conjugation sends q -> q^-1) and d a nonnegative
 integer (mu is a formal real parameter).  All operations are exact; the
 only approximate operation is `evaluate`, which substitutes a numeric
-unit-circle q and a real mu.
+unit-circle q (`q_phase`) and a real mu.
 
-`SparseSum` is the term algebra shared by the sparse sums with these
-coefficients (torus elements, Lie-algebra elements, module polynomials),
-and `accumulate` is the one "add, drop an exact zero" step they all use.
+`SparseSum` is the term algebra of all four sparse sums in the package:
+these q/mu polynomials (`ScalarPoly`, Gaussian-rational coefficients) and,
+with `ScalarPoly` coefficients, torus elements, Lie-algebra elements and
+module polynomials.  Its add/sub/neg are the package's only ones;
+`accumulate` is the same "add, drop an exact zero" step for code that
+builds a term dict in place.
 """
 
 from __future__ import annotations
@@ -118,15 +121,23 @@ class GaussianRational:
 G_ONE = GaussianRational(1)
 
 
-class ScalarPoly:
-    """Laurent polynomial in q, polynomial in mu, Gaussian-rational coefficients.
+def accumulate(out, key, coeff):
+    """out[key] += coeff, dropping the key when the sum is exactly zero."""
+    s = out.get(key)
+    s = coeff if s is None else s + coeff
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
-    `terms` maps (q_exponent, mu_degree) -> GaussianRational and never
-    stores a zero coefficient, so equality of values is dict equality.
-    Instances are treated as immutable: no method mutates `terms`.
-    Its ring operations are the hot path of every evaluator, so they are
-    written out here (with zero-operand fast paths) instead of going
-    through `SparseSum`.
+
+class SparseSum:
+    """Finite sum  sum_k terms[k] * k  of hashable keys with nonzero coefficients.
+
+    `terms` never stores a zero coefficient, so equality is dict equality,
+    and instances are treated as immutable: no method mutates `terms`.
+    Sums of different kinds neither add nor compare equal.  Subclasses add
+    their own constructors, products and rendering.
     """
 
     __slots__ = ("terms",)
@@ -139,6 +150,100 @@ class ScalarPoly:
         self = object.__new__(cls)
         self.terms = terms
         return self
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    # ScalarPoly's sums, the most frequent ones, run here too, so the loops
+    # are written out rather than calling `accumulate` per term.
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        # instances are immutable, so a zero operand can hand back the other one
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            s = terms.get(k)
+            if s is None:
+                terms[k] = c
+            else:
+                s = s + c
+                if s:
+                    terms[k] = s
+                else:
+                    del terms[k]
+        return self._raw(terms) if terms else self.zero()
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            s = terms.get(k)
+            if s is None:
+                terms[k] = -c
+            else:
+                s = s - c
+                if s:
+                    terms[k] = s
+                else:
+                    del terms[k]
+        return self._raw(terms) if terms else self.zero()
+
+    def __neg__(self):
+        if not self.terms:
+            return self.zero()
+        return self._raw({k: -c for k, c in self.terms.items()})
+
+    def scale(self, coeff):
+        if not coeff:
+            return self.zero()
+        return self._raw({k: coeff * c for k, c in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        # sums of different kinds never compare equal, even with equal terms
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self}>"
+
+
+def q_phase(theta, e):
+    """q^e as a complex number at q = exp(2*pi*i*theta), for a Fraction theta.
+
+    theta*e is reduced mod 1 exactly before the float conversion, so large
+    exponents lose no accuracy.
+    """
+    return cmath.exp(1j * (2.0 * math.pi * float((theta * e) % 1)))
+
+
+class ScalarPoly(SparseSum):
+    """Laurent polynomial in q, polynomial in mu, Gaussian-rational coefficients.
+
+    The `SparseSum` with (q_exponent, mu_degree) keys and `GaussianRational`
+    coefficients.  It adds the ring product, conjugation (q -> q^-1) and
+    numeric evaluation; `zero()` and `one()` return the shared `ZERO` and
+    `ONE`.
+    """
+
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------
 
@@ -176,51 +281,9 @@ class ScalarPoly:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, ScalarPoly):
-            return NotImplemented
-        # instances are immutable, so a zero operand can hand back the other one
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            if s is None:
-                terms[k] = c
-            else:
-                s = s + c
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
-        return ScalarPoly._raw(terms)
-
-    def __sub__(self, other):
-        if not isinstance(other, ScalarPoly):
-            return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return -other
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            if s is None:
-                terms[k] = -c
-            else:
-                s = s - c
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
-        return ScalarPoly._raw(terms)
-
-    def __neg__(self):
-        if not self.terms:
-            return ZERO
-        return ScalarPoly._raw({k: -c for k, c in self.terms.items()})
+    # The inherited sum under this class's own name: perfbench/tracing.py
+    # counts scalar additions by patching ScalarPoly.__dict__["__add__"].
+    __add__ = SparseSum.__add__
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -263,17 +326,6 @@ class ScalarPoly:
 
     # -- queries --------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
@@ -294,8 +346,7 @@ class ScalarPoly:
         theta = Fraction(theta)
         out = 0j
         for (e, d), c in self.terms.items():
-            angle = 2.0 * math.pi * float((theta * e) % 1)
-            out += c.to_complex() * cmath.exp(1j * angle) * (float(mu) ** d)
+            out += c.to_complex() * q_phase(theta, e) * (float(mu) ** d)
         return out
 
     # -- rendering ------------------------------------------------------
@@ -305,9 +356,6 @@ class ScalarPoly:
             return "0"
         keys = sorted(self.terms, key=lambda k: (-k[1], k[0]))
         return " + ".join(f"{self.terms[k]}·q^{k[0]}·μ^{k[1]}" for k in keys)
-
-    def __repr__(self):
-        return f"<ScalarPoly {self}>"
 
 
 ZERO = ScalarPoly._raw({})
@@ -326,71 +374,3 @@ def q_pow(e):
 
 
 _Q_CACHE = {0: ONE}
-
-
-
-def accumulate(out, key, coeff):
-    """out[key] += coeff, dropping the key when the sum is exactly zero."""
-    s = out.get(key)
-    s = coeff if s is None else s + coeff
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
-
-
-class SparseSum:
-    """Finite sum  sum_k terms[k] * k  of hashable keys with ScalarPoly coefficients.
-
-    The shared term algebra of torus elements, Lie-algebra elements and
-    module polynomials: `terms` never stores a zero coefficient, so
-    equality is dict equality, and instances are treated as immutable.
-    Subclasses add their own constructors, products and rendering.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {} if terms is None else {k: c for k, c in terms.items() if c}
-
-    @classmethod
-    def _raw(cls, terms):
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(terms, k, c)
-        return self._raw(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._raw({k: -c for k, c in self.terms.items()})
-
-    def scale(self, coeff):
-        if not coeff:
-            return self._raw({})
-        return self._raw({k: coeff * c for k, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        # sums of different kinds never compare equal, even with equal terms
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self}>"

@@ -65,14 +65,10 @@ class TorusElement(SparseSum):
         return TorusElement._raw(out)
 
     def degree_s(self):
-        return TorusElement(
-            {k: ScalarPoly.from_rational(k[0]) * c for k, c in self.terms.items()}
-        )
+        return TorusElement({k: k[0] * c for k, c in self.terms.items()})
 
     def degree_t(self):
-        return TorusElement(
-            {k: ScalarPoly.from_rational(k[1]) * c for k, c in self.terms.items()}
-        )
+        return TorusElement({k: k[1] * c for k, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:

@@ -9,12 +9,12 @@ the exact nonzero pattern.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .scalars import q_phase
 
 HERMITICITY_ERROR = 1e-8
 PD_TOLERANCE = 1e-9  # scaled by matrix dimension
@@ -117,10 +117,7 @@ def specialize(gram, theta, mu):
         gram._compiled = compile_gram(gram)
     c = gram._compiled
     n = c.dim
-    phases = np.array(
-        [cmath.exp(1j * (2.0 * math.pi * float((theta * e) % 1))) for e in c.q_exps],
-        dtype=complex,
-    )
+    phases = np.array([q_phase(theta, e) for e in c.q_exps], dtype=complex)
     powers = np.array([mu ** d for d in c.mu_degs], dtype=float)
     m = np.zeros(n * n, dtype=complex)
     np.add.at(m, c.flat, c.coeff * phases[c.q_index] * powers[c.mu_index])

@@ -236,7 +236,7 @@ def derivation_suite(samples=60, seed=0, cfg=None):
                 i, j, m, n, fock.apply_D(which, v, cfg), cfg
             )
             report.record(
-                lhs == ev.scale(ScalarPoly.from_rational(w)),
+                lhs == ev.scale(w),
                 lambda i=i, j=j, m=m, n=n, which=which:
                     f"[D{which}, e{i}{j}({m},{n})] not the weight multiple",
             )

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
+import pytest
 
 from qtgl3.fock import FockPoly
 from qtgl3.gl3 import CS, CT, DS, DT, GlElement
-from qtgl3.scalars import MU, ONE, ZERO, GaussianRational, ScalarPoly, q_pow
+from qtgl3.scalars import G_ONE, MU, ONE, ZERO, GaussianRational, ScalarPoly, q_pow
 from qtgl3.torus import TorusElement
 
 Q = q_pow(1)
@@ -177,7 +178,9 @@ def test_zero_operand_fast_paths_match_general_path(a, b):
 small_coeffs = st.builds(
     lambda k, e: ScalarPoly.term(k, q_exp=e), st.integers(-2, 2), st.integers(-1, 1)
 )
+small_gaussians = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-1, 1))
 SPARSE_KEYS = {
+    ScalarPoly: st.tuples(st.integers(-1, 1), st.integers(0, 2)),
     TorusElement: st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
     GlElement: st.one_of(
         st.tuples(st.just("E"), st.integers(1, 3), st.integers(1, 3),
@@ -191,22 +194,31 @@ SPARSE_KEYS = {
 }
 
 
+def coefficient_ring(cls):
+    """(strategy, zero, one) of the coefficients of a SparseSum subclass."""
+    if cls is ScalarPoly:
+        return small_gaussians, GaussianRational(0), G_ONE
+    return small_coeffs, ZERO, ONE
+
+
 @st.composite
 def sparse_pairs(draw):
     """(class, x, y, c): y negates a random subset of x's terms, so x + y cancels."""
     cls = draw(st.sampled_from(list(SPARSE_KEYS)))
-    terms = st.dictionaries(SPARSE_KEYS[cls], small_coeffs, max_size=4)
+    coeffs = coefficient_ring(cls)[0]
+    terms = st.dictionaries(SPARSE_KEYS[cls], coeffs, max_size=4)
     x = cls(draw(terms))
     y_terms = draw(terms)
     for k, c in x.terms.items():
         if draw(st.booleans()):
             y_terms[k] = -c
-    return cls, x, cls(y_terms), draw(small_coeffs)
+    return cls, x, cls(y_terms), draw(coeffs)
 
 
 def _termwise(x, y, op):
     keys = set(x.terms) | set(y.terms)
-    return type(x)({k: op(x.terms.get(k, ZERO), y.terms.get(k, ZERO)) for k in keys})
+    zero = coefficient_ring(type(x))[1]
+    return type(x)({k: op(x.terms.get(k, zero), y.terms.get(k, zero)) for k in keys})
 
 
 @given(sparse_pairs())
@@ -225,10 +237,30 @@ def test_sparse_sum_operations(case):
     assert results["scale"] == cls({k: c * v for k, v in x.terms.items()})
 
 
+@given(sparse_pairs())
+@settings(max_examples=60, deadline=None)
+def test_sparse_sum_zero_operands(case):
+    cls, x, _, _ = case
+    zero = cls.zero()
+    assert x + zero is x and x - zero is x
+    assert zero + x == x
+    if x:  # with both operands empty, either one is the sum
+        assert zero + x is x
+    assert zero - x == -x
+    assert -(x - x) == zero and type(-(x - x)) is cls
+    assert -zero == zero and type(-zero) is cls
+
+
 def test_sparse_sums_of_different_kinds_never_compare_equal():
     for a in SPARSE_KEYS:
-        assert a({(1, 1): ONE}) == a({(1, 1): ONE})
+        one_a = coefficient_ring(a)[2]
+        assert a({(1, 1): one_a}) == a({(1, 1): one_a})
         for b in SPARSE_KEYS:
             if a is not b:
+                one_b = coefficient_ring(b)[2]
                 assert a.zero() != b.zero()
-                assert a({(1, 1): ONE}) != b({(1, 1): ONE})
+                assert a({(1, 1): one_a}) != b({(1, 1): one_b})
+                with pytest.raises(TypeError):
+                    a({(1, 1): one_a}) + b({(1, 1): one_b})
+                with pytest.raises(TypeError):
+                    a({(1, 1): one_a}) - b({(1, 1): one_b})
