@@ -486,24 +486,21 @@ class WordEngine:
         d_s and d_t act on a word by its (s, t) weight and are self-adjoint
         for the form, so words of different weight are orthogonal.  The
         basis is grouped by `word_weight`; the defining recursion runs on
-        every ordered pair inside a group, both triangles, and every
-        cross-weight entry is the exact zero.  Both triangles are computed,
+        every ordered pair inside a group, both triangles, and the groups
+        are stored as the Gram's blocks: every cross-weight entry is the
+        exact zero and is not stored.  Both triangles are computed,
         so hermitian symmetry stays a genuine check downstream
         (`unitarity.specialize` measures its residual).
         """
         basis = enumerate_words(level, window=window, constraint=constraint)
-        n = len(basis)
-        entries = [[ZERO] * n for _ in range(n)]
         groups = {}
         for i, w in enumerate(basis):
             groups.setdefault(word_weight(w), []).append(i)
-        for group in groups.values():
-            for i in group:
-                u, row = basis[i], entries[i]
-                for j in group:
-                    row[j] = self.form_words(u, basis[j])
+        blocks = [(group, [[self.form_words(basis[i], basis[j]) for j in group]
+                           for i in group])
+                  for group in groups.values()]
         return GramMatrix(level=level, window=window, constraint=constraint,
-                          basis=basis, entries=entries)
+                          basis=basis, blocks=blocks)
 
 
 def enumerate_words(level, window=None, constraint=None):
@@ -541,16 +538,34 @@ class GramMatrix:
     window: object
     constraint: object
     basis: list
-    entries: list = field(repr=False)
-    # built by unitarity.specialize on first use; entries are not mutated after
+    # (basis indices, square matrix of ScalarPoly over them), one per weight
+    # group in first-appearance order; every entry outside them is ZERO
+    blocks: list = field(repr=False)
+    # caches built on first use (by unitarity.specialize and by `entry`);
+    # blocks are not mutated after
     _compiled: object = field(default=None, init=False, repr=False, compare=False)
+    _position: dict = field(default=None, init=False, repr=False, compare=False)
+
+    def entry(self, i, j):
+        """The exact entry at basis positions (i, j); ZERO across blocks."""
+        if self._position is None:
+            self._position = {p: (b, k) for b, (idx, _) in enumerate(self.blocks)
+                              for k, p in enumerate(idx)}
+        (bi, ki), (bj, kj) = self._position[i], self._position[j]
+        return self.blocks[bi][1][ki][kj] if bi == bj else ZERO
 
     def to_json(self):
+        n = len(self.basis)
+        grid = [["0"] * n for _ in range(n)]
+        for idx, rows in self.blocks:
+            for i, row in zip(idx, rows):
+                for j, x in zip(idx, row):
+                    grid[i][j] = str(x)
         out = {
             "level": list(self.level),
             "window": self.window,
             "basis": [word_str(w) for w in self.basis],
-            "entries": [[str(x) for x in row] for row in self.entries],
+            "entries": grid,
         }
         if self.constraint is not None:
             out["constraint"] = list(self.constraint)

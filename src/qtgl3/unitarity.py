@@ -3,8 +3,7 @@
 Exact Gram entries are evaluated at q = exp(2*pi*i*theta) (theta
 rational, so |q| = 1 by construction) and a real mu, then tested for
 positive definiteness through the smallest eigenvalue of the
-symmetrized matrix, taken block by block over the connected blocks of
-the exact nonzero pattern.
+symmetrized matrix, taken block by block over the Gram's weight blocks.
 """
 
 from __future__ import annotations
@@ -27,20 +26,20 @@ class SpecializedGram:
     matrix: np.ndarray
     herm_residual: float
     # independent diagonal blocks as (count, size) index arrays, one row per
-    # block, grouped by size; None means the whole matrix is one block
-    blocks: tuple = None
+    # block, grouped by size
+    blocks: tuple
 
 
 @dataclass(frozen=True)
 class CompiledGram:
-    """A Gram matrix as COO term arrays plus the blocks of its nonzero pattern.
+    """A Gram matrix as COO term arrays plus its weight blocks.
 
     Term k contributes coeff[k] * q^q_exps[q_index[k]] * mu^mu_degs[mu_index[k]]
-    to the entry at flat position flat[k] = row * dim + col.  Terms appear in
-    row-major entry order and, within an entry, in its own term order, so the
-    accumulation order matches `ScalarPoly.evaluate`.  `nonzero` lists the
-    distinct flat positions and `mirror` their transposes; every other entry
-    is zero in both triangles.
+    to the entry at flat position flat[k] = row * dim + col.  Terms appear
+    block by block, row-major within a block and, within an entry, in its
+    own term order, so each entry accumulates in the order of
+    `ScalarPoly.evaluate`.  `nonzero` lists the distinct flat positions and
+    `mirror` their transposes; every other entry is zero in both triangles.
     """
 
     dim: int
@@ -56,35 +55,20 @@ class CompiledGram:
 
 
 def compile_gram(gram):
-    """Flatten the exact entries once; the blocks come from the entries, not the weights."""
+    """Flatten the exact block entries once; the blocks are the Gram's own."""
     n = len(gram.basis)
-    parent = list(range(n))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     flat, q_index, mu_index, coeff = [], [], [], []
     q_slot, mu_slot = {}, {}
-    for i, row in enumerate(gram.entries):
-        for j, entry in enumerate(row):
-            if not entry:
-                continue
-            if i != j:
-                parent[root(i)] = root(j)
-            for (e, d), c in entry.terms.items():
-                flat.append(i * n + j)
-                q_index.append(q_slot.setdefault(e, len(q_slot)))
-                mu_index.append(mu_slot.setdefault(d, len(mu_slot)))
-                coeff.append(c.to_complex())
-    members = {}
-    for i in range(n):
-        members.setdefault(root(i), []).append(i)
     by_size = {}
-    for b in members.values():
-        by_size.setdefault(len(b), []).append(b)
+    for idx, rows in gram.blocks:
+        by_size.setdefault(len(idx), []).append(idx)
+        for i, row in zip(idx, rows):
+            for j, entry in zip(idx, row):
+                for (e, d), c in entry.terms.items():
+                    flat.append(i * n + j)
+                    q_index.append(q_slot.setdefault(e, len(q_slot)))
+                    mu_index.append(mu_slot.setdefault(d, len(mu_slot)))
+                    coeff.append(c.to_complex())
     nonzero = np.unique(np.array(flat, dtype=np.intp))
     return CompiledGram(
         dim=n,
@@ -132,14 +116,11 @@ def specialize(gram, theta, mu):
 
 
 def min_eigenvalue(sg):
-    """Smallest eigenvalue, as the minimum over the blocks of `sg`."""
-    if sg.matrix.shape[0] == 0:
-        return float("inf")
-    if sg.blocks is None:
-        return float(np.linalg.eigvalsh(sg.matrix)[0])
+    """Smallest eigenvalue, as the minimum over the blocks of `sg` (inf if none)."""
     return min(
-        float(np.linalg.eigvalsh(sg.matrix[idx[:, :, None], idx[:, None, :]])[:, 0].min())
-        for idx in sg.blocks
+        (float(np.linalg.eigvalsh(sg.matrix[idx[:, :, None], idx[:, None, :]])[:, 0].min())
+         for idx in sg.blocks),
+        default=float("inf"),
     )
 
 
@@ -165,11 +146,10 @@ class ScanReport:
         return out
 
 
-def mu_scan(engine, level, theta, mu_grid, window=None, constraint=None, gram=None):
+def mu_scan(engine, level, theta, mu_grid, window=None, constraint=None):
     """Positive-definiteness report over a mu grid at fixed theta."""
     theta = Fraction(theta)
-    if gram is None:
-        gram = engine.gram(level, window=window, constraint=constraint)
+    gram = engine.gram(level, window=window, constraint=constraint)
     tol = PD_TOLERANCE * len(gram.basis)
     samples = []
     for mu in sorted(float(m) for m in mu_grid):

@@ -39,24 +39,25 @@ class SuiteReport:
 
 # -- samplers -----------------------------------------------------------
 
-def _rand_mono(rng, erange=2):
-    return (rng.randint(-erange, erange), rng.randint(-erange, erange))
+def _rand_mono(rng):
+    """A torus monomial exponent pair, each component in [-2, 2]."""
+    return (rng.randint(-2, 2), rng.randint(-2, 2))
 
 
-def rand_matrix_symbol(rng, erange=2):
+def rand_matrix_symbol(rng):
     i = rng.randint(1, 3)
     j = rng.randint(1, 3)
-    m, n = _rand_mono(rng, erange)
+    m, n = _rand_mono(rng)
     return GlElement.matrix(i, j, (m, n))
 
 
-def rand_generator(rng, erange=2, specials=True):
+def rand_generator(rng):
     """A basis symbol; occasionally one of d_s, d_t, c_s, c_t."""
-    if specials and rng.random() < 0.15:
+    if rng.random() < 0.15:
         return rng.choice(
             [GlElement.d_s(), GlElement.d_t(), GlElement.c_s(), GlElement.c_t()]
         )
-    return rand_matrix_symbol(rng, erange)
+    return rand_matrix_symbol(rng)
 
 
 def _rand_coeff(rng):
@@ -65,36 +66,37 @@ def _rand_coeff(rng):
     return ScalarPoly.gaussian(re, im)
 
 
-def rand_element(rng, nterms=2, erange=2):
-    """Random element: a few symbols with small Gaussian-rational coefficients."""
+def rand_element(rng):
+    """Random element: one or two symbols with small Gaussian-rational coefficients."""
     x = GlElement.zero()
-    for _ in range(rng.randint(1, nterms)):
+    for _ in range(rng.randint(1, 2)):
         c = _rand_coeff(rng)
         if not c:
             c = ScalarPoly.one()
-        x = x + rand_generator(rng, erange).scale(c)
+        x = x + rand_generator(rng).scale(c)
     return x
 
 
-def rand_poly(rng, max_degree=3, comp_window=1, nterms=2):
-    """Random module polynomial over index points with components in the window."""
+def rand_poly(rng, nterms=2):
+    """Random module polynomial: up to `nterms` monomials of degree 1 to 3 over
+    index points with components in [-1, 1]."""
     out = FockPoly.one() if rng.random() < 0.3 else FockPoly.zero()
     for _ in range(rng.randint(1, nterms)):
         v = FockPoly.one(_rand_coeff(rng) + ScalarPoly.one())
-        for _ in range(rng.randint(1, max_degree)):
-            m = rng.randint(-comp_window, comp_window)
-            n = rng.randint(-comp_window, comp_window)
+        for _ in range(rng.randint(1, 3)):
+            m = rng.randint(-1, 1)
+            n = rng.randint(-1, 1)
             pt = k1_point(m, n) if rng.random() < 0.5 else km1_point(m, n)
             v = v * FockPoly.variable(pt)
         out = out + v
     return out
 
 
-def rand_config(rng, comp_window=2):
-    """Random SL2 parameters (a*d = 1, c free) over a window of index points."""
+def rand_config(rng):
+    """Random SL2 parameters (a*d = 1, c free) at index points with components in [-2, 2]."""
     entries = {}
-    for m in range(-comp_window, comp_window + 1):
-        for n in range(-comp_window, comp_window + 1):
+    for m in range(-2, 3):
+        for n in range(-2, 3):
             for pt in (k1_point(m, n), km1_point(m, n)):
                 a = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
                 c = Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
@@ -218,9 +220,9 @@ def weyl_suite(samples=60, seed=0, cfg=None):
     return report
 
 
-def derivation_suite(samples=60, seed=0, cfg=None):
+def derivation_suite(samples=60, seed=0):
     """[D1, D2] = 0 and [D_i, e_ij(m, n)] = (m or n) e_ij(m, n) on samples."""
-    cfg = cfg or fock.DEFAULT_CONFIG
+    cfg = fock.DEFAULT_CONFIG
     rng = random.Random(seed)
     report = SuiteReport("degree_operators")
     for _ in range(samples):

@@ -144,7 +144,7 @@ def test_criterion_7_leading_term(engine, grams):
         if n == 0:
             continue
         for i, w in enumerate(g.basis):
-            entry = g.entries[i][i]
+            entry = g.entry(i, i)
             if entry.mu_degree() != n:
                 bad.append((word_str(w), "degree", entry.mu_degree()))
                 continue

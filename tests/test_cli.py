@@ -121,17 +121,22 @@ def test_window_and_constraint_together_is_a_usage_error():
 
 # SHA-256 of the gram JSON on stdout; a rewrite of the word engine or the scalars must keep it
 GRAM_SHA256 = {
-    "1,1": "6d2fb26be56f35f87564d1b712ab8e36986b56a4284fffb153e5720239be49a3",
-    "2,0": "f70351c54ff330ba0cc8f4ad5c89fee90bba7fcda8ddf7491c6a551508eb52cd",
+    ("1,1", "--window", "1"): "6d2fb26be56f35f87564d1b712ab8e36986b56a4284fffb153e5720239be49a3",
+    ("2,0", "--window", "1"): "f70351c54ff330ba0cc8f4ad5c89fee90bba7fcda8ddf7491c6a551508eb52cd",
+    ("2,0", "--constraint", "3,3"):
+        "7205f08d144e874e9535846dc1a6291d91f51c4d79e45439f5680e4a7f5fa805",
+    ("1,0", "--constraint", "2,2"):
+        "8aa234e54c68ea3f547e77f8dc583c359b120836d9d817bbf49d4c632d57a138",
+    # the level and window of the gram benchmark workload
+    ("2,1", "--window", "1"): "73a5c8e8bc0a6621968b1e76b91f74d97044112fe47bec32c3bea55990d09794",
 }
 
 
 def test_gram_json_is_byte_identical():
-    for level, want in GRAM_SHA256.items():
-        res = subprocess.run(BASE + ["gram", "--level", level, "--window", "1"],
-                             capture_output=True)
+    for (level, *mode), want in GRAM_SHA256.items():
+        res = subprocess.run(BASE + ["gram", "--level", level, *mode], capture_output=True)
         assert res.returncode == 0
-        assert hashlib.sha256(res.stdout).hexdigest() == want, level
+        assert hashlib.sha256(res.stdout).hexdigest() == want, (level, *mode)
 
 
 def test_pair_errors_name_their_argument():

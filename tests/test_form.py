@@ -300,16 +300,16 @@ def test_word_str_format():
 
 def test_gram_structure_and_json(engine):
     g = engine.gram((1, 0), window=0)
-    assert g.entries[0][0] == MU
+    assert g.entry(0, 0) == MU
     js = g.to_json()
     assert js["level"] == [1, 0]
     assert js["window"] == 0
     assert js["basis"] == ["E12(s^0 t^0)|0>"]
     assert js["entries"] == [["(1+0i)·q^0·μ^1"]]
     g2 = engine.gram((1, 1), window=0)
-    assert g2.entries[0][0] == MU * MU + MU
+    assert g2.entry(0, 0) == MU * MU + MU
     g3 = engine.gram((0, 0), window=1)
-    assert g3.entries[0][0] == ONE
+    assert g3.entry(0, 0) == ONE
 
 
 def test_gram_hermitian_invariant(engine):
@@ -317,7 +317,7 @@ def test_gram_hermitian_invariant(engine):
     n = len(g.basis)
     for i in range(n):
         for j in range(n):
-            assert g.entries[i][j] == g.entries[j][i].conjugate()
+            assert g.entry(i, j) == g.entry(j, i).conjugate()
 
 
 @pytest.mark.parametrize(
@@ -331,9 +331,9 @@ def test_gram_blocks_skip_only_genuine_zeros(level, window, constraint):
     fresh = WordEngine()
     for i, u in enumerate(g.basis):
         for j, v in enumerate(g.basis):
-            assert fresh.form_words(u, v) == g.entries[i][j]
+            assert fresh.form_words(u, v) == g.entry(i, j)
             if word_weight(u) != word_weight(v):
-                assert g.entries[i][j] is ZERO
+                assert g.entry(i, j) is ZERO
 
 
 
@@ -375,7 +375,7 @@ def test_reused_engine_gram_matches_fresh_engines():
         got = eng.gram(level, window=1)
         want = WordEngine().gram(level, window=1)
         assert got.basis == want.basis
-        assert got.entries == want.entries
+        assert got.blocks == want.blocks
 
 
 def test_act_element_sums_its_symbols():

@@ -11,7 +11,7 @@ from qtgl3.scalars import MU, ONE, ScalarPoly
 
 def single_entry_gram(entry, level=(1, 1)):
     return GramMatrix(level=level, window=0, constraint=None,
-                      basis=[make_word([(0, 0)], [(0, 0)])], entries=[[entry]])
+                      basis=[make_word([(0, 0)], [(0, 0)])], blocks=[([0], [[entry]])])
 
 
 def test_specialize_examples():
@@ -27,19 +27,22 @@ def test_specialize_rejects_nonhermitian():
     i_c = ScalarPoly.gaussian(0, 1)
     g = GramMatrix(level=(1, 0), window=0, constraint=None,
                    basis=[make_word([(0, 0)], []), make_word([(1, 0)], [])],
-                   entries=[[MU, i_c], [i_c, MU]])  # entries[1][0] should be -i
+                   blocks=[([0, 1], [[MU, i_c], [i_c, MU]])])  # entry (1, 0) should be -i
     with pytest.raises(ValueError):
         unitarity.specialize(g, Fraction(1, 7), 1.0)
 
 
 def test_min_eigenvalue_examples():
-    sg = unitarity.SpecializedGram(Fraction(0), 0.0, np.array([[2.0 + 0j]]), 0.0)
+    sg = unitarity.SpecializedGram(Fraction(0), 0.0, np.array([[2.0 + 0j]]), 0.0,
+                                   (np.array([[0]]),))
     assert unitarity.min_eigenvalue(sg) == 2.0
     sg = unitarity.SpecializedGram(
-        Fraction(0), 0.0, np.array([[1.0 + 0j, 0], [0, -3.0 + 0j]]), 0.0
+        Fraction(0), 0.0, np.array([[1.0 + 0j, 0], [0, -3.0 + 0j]]), 0.0,
+        (np.array([[0, 1]]),),
     )
     assert abs(unitarity.min_eigenvalue(sg) + 3.0) < 1e-12
-    empty = unitarity.SpecializedGram(Fraction(0), 0.0, np.zeros((0, 0), dtype=complex), 0.0)
+    empty = unitarity.SpecializedGram(Fraction(0), 0.0, np.zeros((0, 0), dtype=complex), 0.0,
+                                      ())
     assert unitarity.min_eigenvalue(empty) == float("inf")
 
 
@@ -88,7 +91,8 @@ def test_scan_report_json(engine):
 
 def dense_specialize(gram, theta, mu):
     """The per-entry reference: one ScalarPoly.evaluate per entry, then symmetrize."""
-    m = np.array([[x.evaluate(theta, mu) for x in row] for row in gram.entries])
+    n = len(gram.basis)
+    m = np.array([[gram.entry(i, j).evaluate(theta, mu) for j in range(n)] for i in range(n)])
     return (m + m.conj().T) / 2
 
 
@@ -106,12 +110,12 @@ def test_compiled_specialize_matches_evaluate(engine, level, window, constraint)
             assert abs(unitarity.min_eigenvalue(sg) - np.linalg.eigvalsh(want)[0]) < 1e-9
 
 
-def test_blocks_come_from_the_entries_not_the_weights():
-    # the two words differ in weight, yet this hand-built Gram couples them
+def test_eigensolve_uses_the_stored_blocks():
+    # the two words differ in weight, yet this hand-built Gram stores them as one block
     two = ScalarPoly.from_rational(2)
     g = GramMatrix(level=(1, 0), window=0, constraint=None,
                    basis=[make_word([(0, 0)], []), make_word([(1, 0)], [])],
-                   entries=[[ONE, two], [two, ONE]])
+                   blocks=[([0, 1], [[ONE, two], [two, ONE]])])
     sg = unitarity.specialize(g, Fraction(1, 7), 1.0)
     assert abs(unitarity.min_eigenvalue(sg) + 1.0) < 1e-12
 
@@ -123,7 +127,7 @@ def test_diagonal_growth_matches_total_level(engine):
         g = engine.gram(lv, window=1)
         n = sum(lv)
         for i in (0, len(g.basis) // 2, len(g.basis) - 1):
-            entry = g.entries[i][i]
+            entry = g.entry(i, i)
             lead = entry.leading_mu_part().evaluate(theta, 1.0).real
             for mu in (1e3, 1e6):
                 ratio = entry.evaluate(theta, mu).real / mu ** n
