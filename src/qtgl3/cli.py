@@ -69,7 +69,7 @@ def _parse_mu_grid(text):
 
 
 def _emit(obj, out_path):
-    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -210,7 +210,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, unitarity.NonFiniteSample) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,13 +1,15 @@
 """Numeric specialization of Gram matrices and positivity scans over mu.
 
 Exact Gram entries are evaluated at q = exp(2*pi*i*theta) (theta
-rational, so |q| = 1 by construction) and a real mu, then tested for
-positive definiteness through the smallest eigenvalue of the
-symmetrized matrix, taken block by block over the Gram's weight blocks.
+rational, so |q| = 1 by construction) and a real mu, straight into one
+(count, size, size) stack per size class of the Gram's weight blocks.
+Each stack is symmetrized and positive definiteness is read off its
+smallest eigenvalue; no n x n array is built.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,109 +21,117 @@ HERMITICITY_ERROR = 1e-8
 PD_TOLERANCE = 1e-9  # scaled by matrix dimension
 
 
+class NonFiniteSample(ArithmeticError):
+    """A mu whose powers or evaluated Gram entries are not finite floats."""
+
+
 @dataclass
 class SpecializedGram:
     theta: Fraction
     mu: float
-    matrix: np.ndarray
     herm_residual: float
-    # independent diagonal blocks as (count, size) index arrays, one row per
-    # block, grouped by size
+    # (index, stack) per block size: (count, size) basis positions, one row per
+    # weight block, and the (count, size, size) symmetrized blocks
     blocks: tuple
+
+    @property
+    def matrix(self):
+        """The dense n x n matrix, built on demand.  Nothing in qtgl3 reads it;
+        perfbench/tracing.py counts `unitarity.entries_evaluated` as its size."""
+        n = sum(idx.size for idx, _ in self.blocks)
+        m = np.zeros((n, n), dtype=complex)
+        for idx, stack in self.blocks:
+            m[idx[:, :, None], idx[:, None, :]] = stack
+        return m
 
 
 @dataclass(frozen=True)
 class CompiledGram:
-    """A Gram matrix as COO term arrays plus its weight blocks.
+    """A Gram matrix as term arrays over its weight blocks, grouped by block size.
 
-    Term k contributes coeff[k] * q^q_exps[q_index[k]] * mu^mu_degs[mu_index[k]]
-    to the entry at flat position flat[k] = row * dim + col.  Terms appear
-    block by block, row-major within a block and, within an entry, in its
-    own term order, so each entry accumulates in the order of
-    `ScalarPoly.evaluate`.  `nonzero` lists the distinct flat positions and
-    `mirror` their transposes; every other entry is zero in both triangles.
+    `classes` holds one (index, slot, q_index, mu_index, coeff) tuple per
+    block size: index is the (count, size) array of basis positions, one
+    row per block, and term k contributes
+    coeff[k] * q^q_exps[q_index[k]] * mu^mu_degs[mu_index[k]] to position
+    slot[k] of the flattened (count, size, size) stack.  Terms appear block
+    by block, row-major within a block and, within an entry, in its own
+    term order, so each entry accumulates in the order of
+    `ScalarPoly.evaluate`.  The blocks partition the basis.
     """
 
-    dim: int
-    flat: np.ndarray
-    nonzero: np.ndarray
-    mirror: np.ndarray
-    q_index: np.ndarray
-    mu_index: np.ndarray
-    coeff: np.ndarray
+    classes: tuple
     q_exps: tuple
     mu_degs: tuple
-    blocks: tuple
 
 
 def compile_gram(gram):
     """Flatten the exact block entries once; the blocks are the Gram's own."""
-    n = len(gram.basis)
-    flat, q_index, mu_index, coeff = [], [], [], []
     q_slot, mu_slot = {}, {}
     by_size = {}
     for idx, rows in gram.blocks:
-        by_size.setdefault(len(idx), []).append(idx)
-        for i, row in zip(idx, rows):
-            for j, entry in zip(idx, row):
-                for (e, d), c in entry.terms.items():
-                    flat.append(i * n + j)
-                    q_index.append(q_slot.setdefault(e, len(q_slot)))
-                    mu_index.append(mu_slot.setdefault(d, len(mu_slot)))
-                    coeff.append(c.to_complex())
-    nonzero = np.unique(np.array(flat, dtype=np.intp))
-    return CompiledGram(
-        dim=n,
-        flat=np.array(flat, dtype=np.intp),
-        nonzero=nonzero,
-        mirror=(nonzero % n) * n + nonzero // n,
-        q_index=np.array(q_index, dtype=np.intp),
-        mu_index=np.array(mu_index, dtype=np.intp),
-        coeff=np.array(coeff, dtype=complex),
-        q_exps=tuple(q_slot),
-        mu_degs=tuple(mu_slot),
-        blocks=tuple(np.array(bs, dtype=np.intp) for bs in by_size.values()),
-    )
+        by_size.setdefault(len(idx), []).append((idx, rows))
+    classes = []
+    for blocks in by_size.values():
+        slot, q_index, mu_index, coeff = array("q"), array("q"), array("q"), array("d")
+        # the blocks' entries in row-major order; `at` is the position in the stack
+        entries = (entry for _, rows in blocks for row in rows for entry in row)
+        for at, entry in enumerate(entries):
+            for (e, d), c in entry.terms.items():
+                z = c.to_complex()
+                slot.append(at)
+                q_index.append(q_slot.setdefault(e, len(q_slot)))
+                mu_index.append(mu_slot.setdefault(d, len(mu_slot)))
+                coeff.append(z.real)
+                coeff.append(z.imag)
+        ints = (np.frombuffer(a, dtype=np.int64) for a in (slot, q_index, mu_index))
+        classes.append((np.array([idx for idx, _ in blocks], dtype=np.intp), *ints,
+                        np.frombuffer(coeff, dtype=complex)))
+    return CompiledGram(classes=tuple(classes), q_exps=tuple(q_slot), mu_degs=tuple(mu_slot))
 
 
 def specialize(gram, theta, mu):
-    """Evaluate the compiled entries, then symmetrize.
+    """Evaluate the compiled entries into one stack per block size, then symmetrize.
 
     Each distinct q exponent gets one phase and each distinct mu degree one
-    power; the terms are then summed into a dense matrix.  `WordEngine.gram`
-    computes both triangles, so the pre-symmetrization residual is a real
-    check: a residual above HERMITICITY_ERROR means the exact entries upstream
-    were not actually hermitian, which is a bug, not a rounding issue.  The
-    residual and the symmetrization touch only the nonzero positions and
-    their transposes; all other entries are zero on both sides.
+    power.  `WordEngine.gram` computes both triangles, so the
+    pre-symmetrization residual |S - S^H| over every stack is a real check:
+    a residual above HERMITICITY_ERROR means the exact entries upstream
+    were not actually hermitian, which is a bug, not a rounding issue.  A mu
+    whose powers or entries are not finite floats raises NonFiniteSample.
     """
     theta = Fraction(theta)
     mu = float(mu)
     if gram._compiled is None:
         gram._compiled = compile_gram(gram)
     c = gram._compiled
-    n = c.dim
     phases = np.array([q_phase(theta, e) for e in c.q_exps], dtype=complex)
-    powers = np.array([mu ** d for d in c.mu_degs], dtype=float)
-    m = np.zeros(n * n, dtype=complex)
-    np.add.at(m, c.flat, c.coeff * phases[c.q_index] * powers[c.mu_index])
-    upper, lower = m[c.nonzero], m[c.mirror].conj()
-    residual = float(np.max(np.abs(upper - lower))) if len(upper) else 0.0
+    try:
+        powers = np.array([mu ** d for d in c.mu_degs], dtype=float)
+    except OverflowError:
+        raise NonFiniteSample(f"mu={mu!r}: a power of mu overflows") from None
+    blocks, residual = [], 0.0
+    # an overflow surfaces as NonFiniteSample below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, slot, q_index, mu_index, coeff in c.classes:
+            count, size = idx.shape
+            s = np.zeros(count * size * size, dtype=complex)
+            np.add.at(s, slot, coeff * phases[q_index] * powers[mu_index])
+            s = s.reshape(count, size, size)
+            h = s.conj().transpose(0, 2, 1)
+            stack = (s + h) / 2
+            if not np.isfinite(stack).all():
+                raise NonFiniteSample(f"mu={mu!r}: a Gram entry overflows")
+            residual = max(residual, float(np.max(np.abs(s - h))))
+            blocks.append((idx, stack))
     if residual > HERMITICITY_ERROR:
         raise ValueError(f"hermiticity residual {residual:g} exceeds {HERMITICITY_ERROR:g}")
-    m[c.nonzero] = (upper + lower) / 2
-    m = m.reshape(n, n)
-    return SpecializedGram(theta=theta, mu=mu, matrix=m, herm_residual=residual,
-                           blocks=c.blocks)
+    return SpecializedGram(theta=theta, mu=mu, herm_residual=residual, blocks=tuple(blocks))
 
 
 def min_eigenvalue(sg):
-    """Smallest eigenvalue, as the minimum over the blocks of `sg` (inf if none)."""
-    return min(
-        (float(np.linalg.eigvalsh(sg.matrix[idx[:, :, None], idx[:, None, :]])[:, 0].min())
-         for idx in sg.blocks),
-        default=float("inf"),
-    )
+    """Smallest eigenvalue, as the minimum over the stacks of `sg` (inf if none)."""
+    return min((float(np.linalg.eigvalsh(stack)[:, 0].min()) for _, stack in sg.blocks),
+               default=float("inf"))
 
 
 @dataclass

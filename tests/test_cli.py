@@ -3,6 +3,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from qtgl3 import cli
+
 BASE = [sys.executable, "-m", "qtgl3.cli"]
 
 
@@ -101,6 +105,28 @@ def test_scan_rejects_nonfinite_mu():
                                "--theta", "1/7", "--mu=nan,inf"))
 
 
+def test_scan_rejects_overflowing_mu():
+    # mu^2 overflows a float
+    res = run_cli("unitarity-scan", "--level", "1,1", "--window", "0", "--theta", "1/7",
+                  "--mu=1e200")
+    assert_usage_error(res)
+    assert "mu=1e+200" in res.stderr
+    # mu itself is finite, the symmetrized entry is not
+    res = run_cli("unitarity-scan", "--level", "1,0", "--window", "0", "--theta", "1/7",
+                  "--mu=1e308")
+    assert_usage_error(res)
+    assert "mu=1e+308" in res.stderr
+    assert "Warning" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_emit_refuses_nonfinite_floats(tmp_path):
+    out = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        cli._emit({"min_eig": float("inf")}, str(out))
+    assert not out.exists()
+
+
 def test_negative_window_is_a_usage_error():
     assert_usage_error(run_cli("gram", "--level", "1,0", "--window", "-1"))
     assert_usage_error(run_cli("form-crosscheck", "--level", "1,0", "--window", "-2"))
@@ -151,3 +177,39 @@ def test_pair_errors_name_their_argument():
         res = run_cli(*args)
         assert_usage_error(res)
         assert message in res.stderr
+
+
+# min_eig per mu of the reproduce_reports.py grid; pd flags exact, min_eig within 1e-9
+SCAN_MU_GRID = "-1,-0.5,0,0.25,1,5"
+SCAN_MIN_EIG = {
+    ("2,1", "--window", "1", "1/3"): [
+        -17.38251343523365, -8.75, 0.0, -3.2862833486507967, -11.590088693256632,
+        52.29862978919813],
+    ("2,1", "--window", "1", "89/233"): [
+        -17.70483642966697, -11.281881592245313, 0.0, -3.582725300365508,
+        -12.626729636703447, 47.55190017233882],
+    ("1,2", "--window", "1", "1/7"): [
+        -49.52406488006535, -28.459963333407003, 0.0, -4.554019118922287,
+        -15.856356801312092, 39.18791638561496],
+    ("2,0", "--constraint", "3,3", "1/3"): [
+        -7.999999999999999, -4.2499999999999964, 0.0, -1.4375000000000009,
+        -4.999999999999995, -5.000000000000005],
+}
+SCAN_PD = {
+    ("2,1", "--window", "1", "1/3"): [False, False, False, False, False, True],
+    ("2,1", "--window", "1", "89/233"): [False, False, False, False, False, True],
+    ("1,2", "--window", "1", "1/7"): [False, False, False, False, False, True],
+    ("2,0", "--constraint", "3,3", "1/3"): [False] * 6,
+}
+
+
+def test_scan_outputs_are_pinned():
+    for (level, *mode, theta), want in SCAN_MIN_EIG.items():
+        res = run_cli("unitarity-scan", "--level", level, *mode, "--theta", theta,
+                      f"--mu={SCAN_MU_GRID}")
+        assert res.returncode == 0
+        samples = json.loads(res.stdout)["samples"]
+        assert [s["mu"] for s in samples] == [float(m) for m in SCAN_MU_GRID.split(",")]
+        assert [s["pd"] for s in samples] == SCAN_PD[(level, *mode, theta)], (level, theta)
+        for s, eig in zip(samples, want):
+            assert abs(s["min_eig"] - eig) < 1e-9, (level, theta, s["mu"])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,17 +33,48 @@ def test_specialize_rejects_nonhermitian():
         unitarity.specialize(g, Fraction(1, 7), 1.0)
 
 
+def two_block_gram(last_entry):
+    # two blocks of size 2, so one stack; the first block is hermitian
+    i_c = ScalarPoly.gaussian(0, 1)
+    return GramMatrix(level=(1, 0), window=0, constraint=None,
+                      basis=[make_word([(m, 0)], []) for m in range(4)],
+                      blocks=[([0, 1], [[MU, i_c], [-i_c, MU]]),
+                              ([2, 3], [[MU, i_c], [last_entry, MU]])])
+
+
+def test_specialize_rejects_nonhermitian_second_block():
+    i_c = ScalarPoly.gaussian(0, 1)
+    with pytest.raises(ValueError):
+        unitarity.specialize(two_block_gram(i_c), Fraction(1, 7), 1.0)  # should be -i
+    assert unitarity.specialize(two_block_gram(-i_c), Fraction(1, 7), 1.0).herm_residual == 0.0
+
+
+def test_specialize_memory_is_bounded_by_the_blocks():
+    # 1,000 1x1 blocks: a dense 1,000 x 1,000 complex matrix would take 16 MB
+    n = 1000
+    g = GramMatrix(level=(1, 0), window=0, constraint=None,
+                   basis=[make_word([(m, 0)], []) for m in range(n)],
+                   blocks=[([i], [[MU]]) for i in range(n)])
+    tracemalloc.start()
+    try:
+        sg = unitarity.specialize(g, Fraction(1, 7), 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert unitarity.min_eigenvalue(sg) == 2.0
+
+
 def test_min_eigenvalue_examples():
-    sg = unitarity.SpecializedGram(Fraction(0), 0.0, np.array([[2.0 + 0j]]), 0.0,
-                                   (np.array([[0]]),))
+    sg = unitarity.SpecializedGram(Fraction(0), 0.0, 0.0,
+                                   ((np.array([[0]]), np.array([[[2.0 + 0j]]])),))
     assert unitarity.min_eigenvalue(sg) == 2.0
     sg = unitarity.SpecializedGram(
-        Fraction(0), 0.0, np.array([[1.0 + 0j, 0], [0, -3.0 + 0j]]), 0.0,
-        (np.array([[0, 1]]),),
+        Fraction(0), 0.0, 0.0,
+        ((np.array([[0, 1]]), np.array([[[1.0 + 0j, 0], [0, -3.0 + 0j]]])),),
     )
     assert abs(unitarity.min_eigenvalue(sg) + 3.0) < 1e-12
-    empty = unitarity.SpecializedGram(Fraction(0), 0.0, np.zeros((0, 0), dtype=complex), 0.0,
-                                      ())
+    empty = unitarity.SpecializedGram(Fraction(0), 0.0, 0.0, ())
     assert unitarity.min_eigenvalue(empty) == float("inf")
 
 
@@ -139,4 +171,5 @@ def test_specialized_gram_hermiticity_residual(engine):
     g = engine.gram((1, 1), window=1)
     sg = unitarity.specialize(g, Fraction(89, 233), 1.25)
     assert sg.herm_residual < 1e-10
-    assert np.allclose(sg.matrix, sg.matrix.conj().T)
+    for _, stack in sg.blocks:
+        assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))
