@@ -133,8 +133,11 @@ def _diff(pt, mono, factor, coeff):
     """factor * d/dx_pt of coeff*mono as (monomial, coeff), or None if x_pt is absent."""
     for idx, (p, e) in enumerate(mono):
         if p == pt:
-            rest = mono[:idx] + ((p, e - 1),) + mono[idx + 1:] if e > 1 else mono[:idx] + mono[idx + 1:]
-            return rest, factor * coeff * e
+            if factor is not ONE:  # the default config entry 1 needs no product
+                coeff = factor * coeff
+            if e > 1:
+                return mono[:idx] + ((p, e - 1),) + mono[idx + 1:], coeff * e
+            return mono[:idx] + mono[idx + 1:], coeff
     return None
 
 
@@ -152,7 +155,7 @@ def _term_P(pt, mono, coeff, cfg):
 def _add_Q(acc, pt, mono, coeff, cfg):
     """Accumulate Q_pt(coeff*mono) = c_pt * d/dx_pt + d_pt * x_pt into acc."""
     _, cc, d = cfg.triple(pt)
-    accumulate(acc, _mono_times(mono, pt), d * coeff)
+    accumulate(acc, _mono_times(mono, pt), coeff if d is ONE else d * coeff)
     if cc:
         t = _diff(pt, mono, cc, coeff)
         if t is not None:

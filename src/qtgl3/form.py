@@ -330,7 +330,15 @@ class WordEngine:
 
     def form_words(self, u, v):
         """(u, v) by peeling u left to right; antilinear in u, linear in v."""
-        scaled = self._form(self._intern(u), self._intern(v))
+        # callers pair the same words over and over, so intern on a miss only
+        ids = self._ids
+        uid = ids.get(u)
+        if uid is None:
+            uid = self._intern(u)
+        vid = ids.get(v)
+        if vid is None:
+            vid = self._intern(v)
+        scaled = self._form(uid, vid)
         return self._scalar(scaled, 1 << (len(u.e12) + len(u.e32)))
 
     def _form(self, uid, vid):

@@ -45,11 +45,12 @@ class GaussianRational:
 
     @classmethod
     def _make(cls, a, b, d):
-        g = gcd(gcd(a, b), d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
+        if d != 1:  # d = 1 is already reduced, and by far the common case
+            g = gcd(gcd(a, b), d)
+            if g > 1:
+                a //= g
+                b //= g
+                d //= g
         self = object.__new__(cls)
         self.a, self.b, self.d = a, b, d
         return self
@@ -205,6 +206,8 @@ class SparseSum:
         return self._raw({k: -c for k, c in self.terms.items()})
 
     def scale(self, coeff):
+        if coeff is ONE:
+            return self
         if not coeff:
             return self.zero()
         return self._raw({k: coeff * c for k, c in self.terms.items()})
@@ -285,21 +288,51 @@ class ScalarPoly(SparseSum):
     # counts scalar additions by patching ScalarPoly.__dict__["__add__"].
     __add__ = SparseSum.__add__
 
+    # Exact fast paths, taken by nearly every product in the verify suites:
+    # - a unit operand returns the other operand, and -1 its negation, which
+    #   instances being immutable allows.  The shared `ONE` is caught by
+    #   identity, any other +-1 when it is an int or the shorter operand;
+    # - a one-term operand c*q^e*mu^d shifts the other operand's keys by
+    #   (e, d) and multiplies its coefficients by c in one comprehension.
+    #   The shift is injective and Gaussian rationals have no zero divisors,
+    #   so no two products share a key and none is zero: the general loop's
+    #   accumulate and zero check could do nothing.
+    # Both keep the general loop's term order (the other operand's), so
+    # `evaluate` sums the same floats in the same order.
+
     def __mul__(self, other):
+        if other is ONE:
+            return self
         if isinstance(other, int):
+            if other == 1:
+                return self
             if not other or not self.terms:
                 return ZERO
+            if other == -1:
+                return -self
             return ScalarPoly._raw({
                 key: GaussianRational._make(c.a * other, c.b * other, c.d)
                 for key, c in self.terms.items()
             })
         if not isinstance(other, ScalarPoly):
             return NotImplemented
-        a, b = self.terms, other.terms
-        if not a or not b:
+        if self is ONE:
+            return other
+        # x is the operand with fewer terms
+        x, y = (other, self) if len(self.terms) > len(other.terms) else (self, other)
+        a, b = x.terms, y.terms
+        if len(a) == 1:
+            ((e1, d1), c1), = a.items()
+            if not (e1 or d1 or c1.b) and c1.d == 1:
+                if c1.a == 1:
+                    return y
+                if c1.a == -1:
+                    return -y
+            return ScalarPoly._raw(
+                {(e1 + e2, d1 + d2): c1 * c2 for (e2, d2), c2 in b.items()}
+            )
+        if not a:
             return ZERO
-        if len(a) > len(b):
-            a, b = b, a
         out = {}
         for (e1, d1), c1 in a.items():
             for (e2, d2), c2 in b.items():

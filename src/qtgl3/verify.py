@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import fock
 from .fock import FockPoly, FreeFieldConfig, k1_point, km1_point
 from .gl3 import GlElement, bracket, jacobi_residual, omega
-from .scalars import ONE, ScalarPoly, q_pow
+from .scalars import ONE, GaussianRational, ScalarPoly, q_pow
 
 
 @dataclass
@@ -54,16 +54,17 @@ def rand_matrix_symbol(rng):
 def rand_generator(rng):
     """A basis symbol; occasionally one of d_s, d_t, c_s, c_t."""
     if rng.random() < 0.15:
-        return rng.choice(
-            [GlElement.d_s(), GlElement.d_t(), GlElement.c_s(), GlElement.c_t()]
-        )
+        return rng.choice([GlElement.d_s, GlElement.d_t, GlElement.c_s, GlElement.c_t])()
     return rand_matrix_symbol(rng)
 
 
 def _rand_coeff(rng):
-    re = Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2]))
-    im = Fraction(rng.randint(-2, 2)) if rng.random() < 0.4 else Fraction(0)
-    return ScalarPoly.gaussian(re, im)
+    """re + im*i: re = a/d with a in [-3, 3], d in (1, 1, 2); im in [-2, 2] 40 % of
+    the time, else 0.  Built from integers as the Gaussian rational (a + im*d*i)/d."""
+    a = rng.randint(-3, 3)
+    d = rng.choice([1, 1, 2])
+    b = rng.randint(-2, 2) * d if rng.random() < 0.4 else 0
+    return ScalarPoly.term(GaussianRational._make(a, b, d))
 
 
 def rand_element(rng):

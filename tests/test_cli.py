@@ -165,6 +165,22 @@ def test_gram_json_is_byte_identical():
         assert hashlib.sha256(res.stdout).hexdigest() == want, (level, *mode)
 
 
+# SHA-256 of `verify-brackets --samples 200` stdout per seed; a faster scalar
+# ring or sampler must keep the sampled stream and every rendered check
+VERIFY_SHA256 = {
+    0: "8a70ab09d52b69b4452e89348cfecbb54c8ec687c6198fbe2930ccfec694c198",
+    7: "77917067d8fbabd1d4c36b485d3e25d246decd2341903dc6a8ee79edc447a2aa",
+}
+
+
+def test_verify_json_is_byte_identical():
+    for seed, want in VERIFY_SHA256.items():
+        res = subprocess.run(BASE + ["verify-brackets", "--samples", "200", "--seed", str(seed)],
+                             capture_output=True)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout).hexdigest() == want, seed
+
+
 def test_pair_errors_name_their_argument():
     cases = [
         (("gram", "--level", "1,x"), "bad level '1,x'"),

@@ -172,6 +172,61 @@ def test_zero_operand_fast_paths_match_general_path(a, b):
     assert not ZERO.terms
 
 
+def _naive_mul(a, b):
+    """a * b by a plain dict convolution over Fractions, sharing no code with __mul__."""
+    out = {}
+    for (e1, d1), c1 in a.terms.items():
+        for (e2, d2), c2 in b.terms.items():
+            k = (e1 + e2, d1 + d2)
+            re, im = out.get(k, (0, 0))
+            out[k] = (re + c1.re * c2.re - c1.im * c2.im, im + c1.re * c2.im + c1.im * c2.re)
+    return ScalarPoly({k: GaussianRational(re, im) for k, (re, im) in out.items()})
+
+
+nonzero_gaussians = st.builds(GaussianRational, rational(), rational()).filter(bool)
+one_term_polys = st.builds(
+    lambda e, d, c: ScalarPoly.term(c, q_exp=e, mu_deg=d),
+    st.integers(-3, 3), st.integers(0, 2),
+    st.one_of(st.sampled_from([G_ONE, GaussianRational(-1)]), nonzero_gaussians),
+)
+# the operands the fast paths take: units (shared, equal-but-distinct, -1),
+# zero, one-term polynomials and ints
+fast_path_polys = st.one_of(
+    st.sampled_from([ONE, ScalarPoly({(0, 0): GaussianRational(1)}),
+                     ScalarPoly.from_rational(-1), ZERO]),
+    one_term_polys,
+)
+fast_path_operands = st.one_of(fast_path_polys, st.sampled_from([0, 1, -1, 3, -2]))
+multi_term_polys = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(0, 2)), nonzero_gaussians, min_size=2, max_size=4,
+).map(ScalarPoly)
+
+
+@given(fast_path_operands, st.one_of(multi_term_polys, fast_path_polys))
+@example(ONE, ScalarPoly({(0, 0): G_ONE, (1, 0): G_ONE}))
+@example(-1, ScalarPoly({(0, 0): G_ONE, (1, 0): G_ONE}))
+@settings(max_examples=150, deadline=None)
+def test_multiplication_fast_paths_match_naive_convolution(x, p):
+    as_poly = ScalarPoly.from_rational(x) if isinstance(x, int) else x
+    want = _naive_mul(as_poly, p)
+    for got in (x * p, p * x):
+        assert got == want
+        assert all(got.terms.values())
+        # a fast path keeps the other operand's term order, which `evaluate` sums in
+        assert list(got.terms) == list(want.terms)
+    if as_poly == ONE and len(p.terms) > 1:  # the unit hands back the other operand
+        assert x * p is p and p * x is p
+
+
+def test_scale_by_one_returns_the_sum_itself():
+    x = GlElement.matrix(1, 2, (1, 0), coeff=Q + MU) + GlElement.d_s()
+    assert x.scale(ONE) is x
+    assert x.scale(ScalarPoly.from_rational(1)) == x
+    v = FockPoly.variable((1, 1), coeff=I)
+    assert v.scale(ONE) is v
+    assert ZERO.scale(G_ONE) == ZERO
+
+
 # -- the shared term algebra of the SparseSum subclasses ---------------------
 
 # few small coefficients, so sums cancel often
