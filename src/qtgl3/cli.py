@@ -9,9 +9,11 @@ check failed, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -68,13 +70,74 @@ def _parse_mu_grid(text):
     return grid
 
 
-def _emit(obj, out_path):
-    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1, allow_nan=False) + "\n"
+# The one copy of the output settings, the streamed Gram document included.
+_JSON = dict(sort_keys=True, ensure_ascii=False, indent=1, allow_nan=False)
+
+
+def _dumps(obj):
+    return json.dumps(obj, **_JSON)
+
+
+@contextlib.contextmanager
+def _output(out_path):
+    """The --out file opened for writing, or stdout.
+
+    A reader that closes stdout early raises BrokenPipeError here; stdout is
+    then pointed at devnull, so the flush at exit does not raise it again
+    (the recipe of the Python docs' note on SIGPIPE).
+    """
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            yield fh
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
+
+
+def _emit(obj, out_path):
+    text = _dumps(obj) + "\n"
+    with _output(out_path) as fh:
+        fh.write(text)
+
+
+def write_gram_json(g, fh):
+    """Write the dense JSON document of a Gram to `fh`, one row at a time.
+
+    The text is what `_emit` writes for {"level", "window", "basis", "entries"}
+    (and "constraint" in constraint mode), "entries" being the n x n matrix of
+    entry strings, but no n x n grid is built: a row starts as n copies of the
+    encoded "0", its weight block is patched in, and the row is joined in one
+    call.  Each distinct entry is rendered once.
+    """
+    doc = {"level": list(g.level), "window": g.window,
+           "basis": [word_str(w) for w in g.basis], "entries": None}
+    if g.constraint is not None:
+        doc["constraint"] = list(g.constraint)
+    head, tail = _dumps(doc).split('"entries": null')
+    # the layout json.dumps gives a matrix at depth 1: rows at depth 2, items
+    # at depth 3 (every basis holds a word, so no row or matrix is empty)
+    step = " " * _JSON["indent"]
+    row_open, row_close = "\n" + step * 2 + "[\n" + step * 3, "\n" + step * 2 + "]"
+    item_sep = ",\n" + step * 3
+    zero = _dumps("0")
+    n = len(g.basis)
+    rendered = {}
+    fh.write(head + '"entries": [')
+    sep = ""
+    for cols, entries in g.rows():
+        row = [zero] * n
+        for j, x in zip(cols, entries):
+            text = rendered.get(x)
+            if text is None:
+                text = rendered[x] = _dumps(str(x))
+            row[j] = text
+        fh.write(sep + row_open + item_sep.join(row) + row_close)
+        sep = ","
+    fh.write("\n" + step + "]" + tail + "\n")
 
 
 def cmd_verify_brackets(args):
@@ -104,7 +167,8 @@ def cmd_gram(args):
     engine = WordEngine()
     level = _parse_pair(args.level, "level")
     g = engine.gram(level, window=window, constraint=constraint)
-    _emit(g.to_json(), args.out)
+    with _output(args.out) as fh:
+        write_gram_json(g, fh)
     return 0
 
 

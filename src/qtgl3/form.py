@@ -549,35 +549,32 @@ class GramMatrix:
     # (basis indices, square matrix of ScalarPoly over them), one per weight
     # group in first-appearance order; every entry outside them is ZERO
     blocks: list = field(repr=False)
-    # caches built on first use (by unitarity.specialize and by `entry`);
+    # caches built on first use (by unitarity.specialize, `entry` and `rows`);
     # blocks are not mutated after
     _compiled: object = field(default=None, init=False, repr=False, compare=False)
     _position: dict = field(default=None, init=False, repr=False, compare=False)
 
-    def entry(self, i, j):
-        """The exact entry at basis positions (i, j); ZERO across blocks."""
+    def _positions(self):
+        """Basis index -> (block number, position inside the block)."""
         if self._position is None:
             self._position = {p: (b, k) for b, (idx, _) in enumerate(self.blocks)
                               for k, p in enumerate(idx)}
-        (bi, ki), (bj, kj) = self._position[i], self._position[j]
+        return self._position
+
+    def entry(self, i, j):
+        """The exact entry at basis positions (i, j); ZERO across blocks."""
+        position = self._positions()
+        (bi, ki), (bj, kj) = position[i], position[j]
         return self.blocks[bi][1][ki][kj] if bi == bj else ZERO
 
-    def to_json(self):
-        n = len(self.basis)
-        grid = [["0"] * n for _ in range(n)]
-        for idx, rows in self.blocks:
-            for i, row in zip(idx, rows):
-                for j, x in zip(idx, row):
-                    grid[i][j] = str(x)
-        out = {
-            "level": list(self.level),
-            "window": self.window,
-            "basis": [word_str(w) for w in self.basis],
-            "entries": grid,
-        }
-        if self.constraint is not None:
-            out["constraint"] = list(self.constraint)
-        return out
+    def rows(self):
+        """Each row in basis order as (columns, entries): the basis indices of
+        its weight block and its entries there; every other entry is ZERO."""
+        position = self._positions()
+        for i in range(len(self.basis)):
+            b, k = position[i]
+            idx, block = self.blocks[b]
+            yield idx, block[k]
 
 
 def word_to_poly(w, cfg=fock.DEFAULT_CONFIG):

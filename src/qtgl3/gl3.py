@@ -17,7 +17,7 @@ everything and [d_s, d_t] = 0.
 
 from __future__ import annotations
 
-from .scalars import ONE, SparseSum, accumulate, q_pow
+from .scalars import ONE, SparseSum, accumulate, q_pow, signed_q_pow
 from .torus import TorusElement
 
 CS = ("cs",)
@@ -122,7 +122,7 @@ def _bracket_symbols(x, y):
         _, i, j, m1, n1 = x
         _, k, l, m2, n2 = y
         out = [
-            (("E", i2, j2, mono[0], mono[1]), q_pow(e) if sign > 0 else -q_pow(e))
+            (("E", i2, j2, mono[0], mono[1]), signed_q_pow(sign, e))
             for (i2, j2, mono, sign, e) in matrix_bracket_terms(i, j, m1, n1, k, l, m2, n2)
         ]
         if j == k and i == l and m1 + m2 == 0 and n1 + n2 == 0:

@@ -407,3 +407,16 @@ def q_pow(e):
 
 
 _Q_CACHE = {0: ONE}
+
+
+def signed_q_pow(sign, e):
+    """sign * q^e for a sign of +1 or -1, cached like `q_pow`."""
+    if sign > 0:
+        return q_pow(e)
+    p = _MINUS_Q_CACHE.get(e)
+    if p is None:
+        p = _MINUS_Q_CACHE[e] = -q_pow(e)
+    return p
+
+
+_MINUS_Q_CACHE = {}

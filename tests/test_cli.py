@@ -1,11 +1,15 @@
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from qtgl3 import cli
+from qtgl3.form import WordEngine, word_str
 
 BASE = [sys.executable, "-m", "qtgl3.cli"]
 
@@ -155,6 +159,9 @@ GRAM_SHA256 = {
         "8aa234e54c68ea3f547e77f8dc583c359b120836d9d817bbf49d4c632d57a138",
     # the level and window of the gram benchmark workload
     ("2,1", "--window", "1"): "73a5c8e8bc0a6621968b1e76b91f74d97044112fe47bec32c3bea55990d09794",
+    ("1,2", "--window", "1"): "094dc7996e8c4c62472516e4c46cc1b23efb6a4c3c3d11d26a7783ce29c412e7",
+    # n = 1
+    ("0,0", "--window", "0"): "4461d5583d91665dfd93a22c593a49767880b5c548b23b56e932711c69809331",
 }
 
 
@@ -163,6 +170,96 @@ def test_gram_json_is_byte_identical():
         res = subprocess.run(BASE + ["gram", "--level", level, *mode], capture_output=True)
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout).hexdigest() == want, (level, *mode)
+
+
+def test_gram_out_file_equals_stdout(tmp_path):
+    out = tmp_path / "g.json"
+    args = BASE + ["gram", "--level", "2,1", "--window", "1"]
+    to_file = subprocess.run(args + ["--out", str(out)], capture_output=True)
+    to_stdout = subprocess.run(args, capture_output=True)
+    assert to_file.returncode == 0 and to_stdout.returncode == 0
+    assert to_file.stdout == b""
+    assert out.read_bytes() == to_stdout.stdout
+
+
+def streamed_gram(g):
+    out = io.StringIO()
+    cli.write_gram_json(g, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "level,window,constraint",
+    [((0, 0), 0, None), ((1, 0), 0, None), ((1, 1), 1, None),
+     ((2, 0), None, (3, 3)), ((1, 0), None, (2, 2))],
+)
+def test_streamed_gram_equals_dense_json(level, window, constraint):
+    # the oracle: the dense document, built entry by entry and dumped in one call
+    g = WordEngine().gram(level, window=window, constraint=constraint)
+    n = len(g.basis)
+    doc = {
+        "level": list(level),
+        "window": window,
+        "basis": [word_str(w) for w in g.basis],
+        "entries": [[str(g.entry(i, j)) for j in range(n)] for i in range(n)],
+    }
+    if constraint is not None:
+        doc["constraint"] = list(constraint)
+    want = json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
+    assert streamed_gram(g) == want
+
+
+class Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_streamed_gram_memory_is_bounded_by_a_row():
+    # 405 words; a dense grid of their entry strings alone peaks at 16 MB
+    g = WordEngine().gram((2, 1), window=1)
+    tracemalloc.start()
+    try:
+        cli.write_gram_json(g, Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def gram_to_closed_pipe(level, window, nbytes, unbuffered=False):
+    """Exit code and stderr of a gram whose reader takes `nbytes` and closes the pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(BASE + ["gram", "--level", level, "--window", window], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(nbytes)) == nbytes
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        return proc.wait(timeout=60), err
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+def assert_one_error_line(code, err):
+    assert code == 1, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
+def test_gram_to_a_closed_pipe_is_one_error_line():
+    # the reader takes 20 bytes of the 1.6 MB document
+    for unbuffered in (False, True):
+        assert_one_error_line(*gram_to_closed_pipe("2,1", "1", 20, unbuffered))
+
+
+def test_buffered_stdout_to_a_closed_pipe_is_one_error_line():
+    # the whole document waits in the stdout buffer until the reader is gone,
+    # so the flush at exit would fail a second time
+    assert_one_error_line(*gram_to_closed_pipe("0,0", "0", 0))
 
 
 # SHA-256 of `verify-brackets --samples 200` stdout per seed; a faster scalar

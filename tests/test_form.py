@@ -1,10 +1,12 @@
 import hashlib
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from qtgl3 import fock
+from qtgl3 import cli, fock
 from qtgl3.form import (
     VACUUM,
     Word,
@@ -301,7 +303,9 @@ def test_word_str_format():
 def test_gram_structure_and_json(engine):
     g = engine.gram((1, 0), window=0)
     assert g.entry(0, 0) == MU
-    js = g.to_json()
+    out = io.StringIO()
+    cli.write_gram_json(g, out)
+    js = json.loads(out.getvalue())
     assert js["level"] == [1, 0]
     assert js["window"] == 0
     assert js["basis"] == ["E12(s^0 t^0)|0>"]
