@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import unitarity, verify
-from .form import WordEngine, enumerate_words, word_str
+from .form import WordEngine, enumerate_words, int_poly_scalar, word_str
 
 
 class ConfigError(Exception):
@@ -111,7 +111,7 @@ def write_gram_json(g, fh):
     (and "constraint" in constraint mode), "entries" being the n x n matrix of
     entry strings, but no n x n grid is built: a row starts as n copies of the
     encoded "0", its weight block is patched in, and the row is joined in one
-    call.  Each distinct entry is rendered once.
+    call.  Each distinct entry is rendered once, found by its integer terms.
     """
     doc = {"level": list(g.level), "window": g.window,
            "basis": [word_str(w) for w in g.basis], "entries": None}
@@ -131,9 +131,10 @@ def write_gram_json(g, fh):
     for cols, entries in g.rows():
         row = [zero] * n
         for j, x in zip(cols, entries):
-            text = rendered.get(x)
+            key = frozenset(x.items())
+            text = rendered.get(key)
             if text is None:
-                text = rendered[x] = _dumps(str(x))
+                text = rendered[key] = _dumps(str(int_poly_scalar(x, g.scale)))
             row[j] = text
         fh.write(sep + row_open + item_sep.join(row) + row_close)
         sep = ","

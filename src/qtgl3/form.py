@@ -35,9 +35,10 @@ which makes every action coefficient an integer polynomial, and a form
 value (u, v) is stored as 2^(k+l) (u, v) for u of level (k, l): peeling
 one factor off u multiplies by one doubled action coefficient.  The
 public methods divide the factor back out exactly, so their values do
-not depend on any integrality.  The combinatorial evaluator works on the
-words themselves, stays on `ScalarPoly`, and shares no table with the
-id path.
+not depend on any integrality.  A `GramMatrix` holds the memo's own
+integer polynomials and builds `ScalarPoly` entries only on demand.  The
+combinatorial evaluator works on the words themselves, stays on
+`ScalarPoly`, and shares no table with the id path.
 """
 
 from __future__ import annotations
@@ -117,6 +118,18 @@ _IMINUS_MU = {1: -1}
 _ID_BITS = 32
 
 
+def int_terms(poly):
+    """The ((q_exp, mu_deg), coefficient) pairs of an integer polynomial, in
+    its own term order; the one place the packed keys are decoded."""
+    return [((k >> _MU_BITS, k & _MU_MASK), c) for k, c in poly.items()]
+
+
+def int_poly_scalar(poly, denom):
+    """The ScalarPoly poly / denom of an integer polynomial."""
+    return ScalarPoly._raw({key: GaussianRational._make(c, 0, denom)
+                            for key, c in int_terms(poly)}) if poly else ZERO
+
+
 def _insert_sorted(args, a):
     out = list(args)
     out.append(a)
@@ -157,13 +170,14 @@ class WordEngine:
                        factor E12(arg) (side 1) or E32(arg) (side 3) added
 
     Coefficients and form values in these tables are integer polynomials
-    (see `_MU_BITS`), doubled as the module docstring explains; only
-    `act_mono` and `form_words` turn them into `ScalarPoly`s, through
-    `_scalar` and its tables `_monos` and `_coeffs`.  The
-    combinatorial evaluator keeps its own tables, `_comb_tables` (entry
-    patterns and cycle lists per level) and `_comb_weights` (word ->
-    weight).  The public methods take and return `Word`s.  The tables
-    grow for the life of the engine; use a fresh engine to bound them.
+    (see `_MU_BITS`), doubled as the module docstring explains; `act_mono`
+    and `form_words` turn them into `ScalarPoly`s through `int_poly_scalar`.
+    A `gram` keeps the form memo's values themselves as its entries, which
+    is why memo values are never mutated once stored.  The combinatorial
+    evaluator keeps its own tables, `_comb_tables` (entry patterns and
+    cycle lists per level) and `_comb_weights` (word -> weight).  The
+    public methods take and return `Word`s.  The tables grow for the life
+    of the engine; use a fresh engine to bound them.
     """
 
     def __init__(self):
@@ -173,8 +187,6 @@ class WordEngine:
         self._insert_cache = {}
         self._act_cache = {}
         self._form_cache = {}
-        self._monos = {}
-        self._coeffs = {}
         self._comb_tables = {}
         self._comb_weights = {}
 
@@ -207,36 +219,12 @@ class WordEngine:
             res = self._insert_cache[key] = self._intern(w)
         return res
 
-    def _scalar(self, poly, denom):
-        """The ScalarPoly poly / denom of an integer polynomial.
-
-        A Gram holds one such value per same-weight pair, so the (q_exp,
-        mu_deg) keys and the reduced coefficients are shared between
-        results instead of being built anew each time.
-        """
-        if not poly:
-            return ZERO
-        monos = self._monos
-        coeffs = self._coeffs.get(denom)
-        if coeffs is None:
-            coeffs = self._coeffs[denom] = {}
-        terms = {}
-        for k, c in poly.items():
-            mono = monos.get(k)
-            if mono is None:
-                mono = monos[k] = (k >> _MU_BITS, k & _MU_MASK)
-            g = coeffs.get(c)
-            if g is None:
-                g = coeffs[c] = GaussianRational._make(c, 0, denom)
-            terms[mono] = g
-        return ScalarPoly._raw(terms)
-
     # -- action ---------------------------------------------------------
 
     def act_mono(self, i, j, mono, word):
         """E_ij(s^m t^n) . word expanded in the word basis (central terms dropped)."""
         words = self._words
-        return {words[w]: self._scalar(c, 2)
+        return {words[w]: int_poly_scalar(c, 2)
                 for w, c in self._act(i, j, mono, self._intern(word)).items()}
 
     def _act(self, i, j, mono, wid):
@@ -338,8 +326,7 @@ class WordEngine:
         vid = ids.get(v)
         if vid is None:
             vid = self._intern(v)
-        scaled = self._form(uid, vid)
-        return self._scalar(scaled, 1 << (len(u.e12) + len(u.e32)))
+        return int_poly_scalar(self._form(uid, vid), 1 << (len(u.e12) + len(u.e32)))
 
     def _form(self, uid, vid):
         """2^(k+l) form_words on word ids, for u of level (k, l)."""
@@ -498,14 +485,15 @@ class WordEngine:
         are stored as the Gram's blocks: every cross-weight entry is the
         exact zero and is not stored.  Both triangles are computed,
         so hermitian symmetry stays a genuine check downstream
-        (`unitarity.specialize` measures its residual).
+        (`unitarity.specialize` measures its residual).  The block entries
+        are the form memo's own integer polynomials, not copies.
         """
         basis = enumerate_words(level, window=window, constraint=constraint)
+        ids = [self._intern(w) for w in basis]
         groups = {}
         for i, w in enumerate(basis):
             groups.setdefault(word_weight(w), []).append(i)
-        blocks = [(group, [[self.form_words(basis[i], basis[j]) for j in group]
-                           for i in group])
+        blocks = [(group, [[self._form(ids[i], ids[j]) for j in group] for i in group])
                   for group in groups.values()]
         return GramMatrix(level=level, window=window, constraint=constraint,
                           basis=basis, blocks=blocks)
@@ -546,13 +534,19 @@ class GramMatrix:
     window: object
     constraint: object
     basis: list
-    # (basis indices, square matrix of ScalarPoly over them), one per weight
-    # group in first-appearance order; every entry outside them is ZERO
+    # (basis indices, square matrix over them), one per weight group in
+    # first-appearance order; every entry outside them is ZERO.  An entry is
+    # an integer polynomial (see `_MU_BITS`) holding `scale` times the form
+    # value, shared with the form memo that computed it and never mutated
     blocks: list = field(repr=False)
-    # caches built on first use (by unitarity.specialize, `entry` and `rows`);
-    # blocks are not mutated after
+    # caches built on first use (by unitarity.specialize, `entry` and `rows`)
     _compiled: object = field(default=None, init=False, repr=False, compare=False)
     _position: dict = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def scale(self):
+        """2^(k+l) at level (k, l): the factor the integer entries carry."""
+        return 1 << sum(self.level)
 
     def _positions(self):
         """Basis index -> (block number, position inside the block)."""
@@ -562,14 +556,14 @@ class GramMatrix:
         return self._position
 
     def entry(self, i, j):
-        """The exact entry at basis positions (i, j); ZERO across blocks."""
+        """The exact ScalarPoly entry at basis positions (i, j); ZERO across blocks."""
         position = self._positions()
         (bi, ki), (bj, kj) = position[i], position[j]
-        return self.blocks[bi][1][ki][kj] if bi == bj else ZERO
+        return int_poly_scalar(self.blocks[bi][1][ki][kj], self.scale) if bi == bj else ZERO
 
     def rows(self):
         """Each row in basis order as (columns, entries): the basis indices of
-        its weight block and its entries there; every other entry is ZERO."""
+        its weight block and its integer entries there; every other is ZERO."""
         position = self._positions()
         for i in range(len(self.basis)):
             b, k = position[i]

@@ -359,9 +359,6 @@ class ScalarPoly(SparseSum):
 
     # -- queries --------------------------------------------------------
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def mu_degree(self):
         if not self.terms:
             raise ValueError("mu_degree of the zero polynomial")

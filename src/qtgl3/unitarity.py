@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .form import int_terms
 from .scalars import q_phase
 
 HERMITICITY_ERROR = 1e-8
@@ -51,7 +52,7 @@ class CompiledGram:
 
     `classes` holds one (index, slot, q_index, mu_index, coeff) tuple per
     block size: index is the (count, size) array of basis positions, one
-    row per block, and term k contributes
+    row per block, and term k contributes the real
     coeff[k] * q^q_exps[q_index[k]] * mu^mu_degs[mu_index[k]] to position
     slot[k] of the flattened (count, size, size) stack.  Terms appear block
     by block, row-major within a block and, within an entry, in its own
@@ -65,7 +66,9 @@ class CompiledGram:
 
 
 def compile_gram(gram):
-    """Flatten the exact block entries once; the blocks are the Gram's own."""
+    """Flatten the exact block entries once; the blocks are the Gram's own.
+    Each coefficient is c / gram.scale, a correctly rounded int division."""
+    scale = gram.scale
     q_slot, mu_slot = {}, {}
     by_size = {}
     for idx, rows in gram.blocks:
@@ -76,16 +79,14 @@ def compile_gram(gram):
         # the blocks' entries in row-major order; `at` is the position in the stack
         entries = (entry for _, rows in blocks for row in rows for entry in row)
         for at, entry in enumerate(entries):
-            for (e, d), c in entry.terms.items():
-                z = c.to_complex()
+            for (e, d), c in int_terms(entry):
                 slot.append(at)
                 q_index.append(q_slot.setdefault(e, len(q_slot)))
                 mu_index.append(mu_slot.setdefault(d, len(mu_slot)))
-                coeff.append(z.real)
-                coeff.append(z.imag)
+                coeff.append(c / scale)
         ints = (np.frombuffer(a, dtype=np.int64) for a in (slot, q_index, mu_index))
         classes.append((np.array([idx for idx, _ in blocks], dtype=np.intp), *ints,
-                        np.frombuffer(coeff, dtype=complex)))
+                        np.frombuffer(coeff, dtype=float)))
     return CompiledGram(classes=tuple(classes), q_exps=tuple(q_slot), mu_degs=tuple(mu_slot))
 
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -380,6 +381,22 @@ def test_reused_engine_gram_matches_fresh_engines():
         want = WordEngine().gram(level, window=1)
         assert got.basis == want.basis
         assert got.blocks == want.blocks
+
+
+def test_gram_keeps_no_copy_of_the_form_memo():
+    # a second Gram over memoized pairs adds only its basis and block lists:
+    # its entries are the memo's own values (copying them into ScalarPolys
+    # keeps 1.6 MB or more)
+    eng = WordEngine()
+    eng.gram((2, 1), window=1)
+    tracemalloc.start()
+    try:
+        g = eng.gram((2, 1), window=1)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(g.basis) == 405
+    assert kept < 400_000
 
 
 def test_act_element_sums_its_symbols():

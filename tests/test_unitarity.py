@@ -6,13 +6,29 @@ import numpy as np
 import pytest
 
 from qtgl3 import unitarity
-from qtgl3.form import GramMatrix, enumerate_words, make_word
-from qtgl3.scalars import MU, ONE, ScalarPoly
+from qtgl3.form import _MU_BITS, GramMatrix, enumerate_words, make_word
+from qtgl3.scalars import MU, ONE, ScalarPoly, q_pow
+
+
+def hand_gram(basis, blocks, level=(1, 0)):
+    """A GramMatrix from blocks of integer-coefficient ScalarPolys, each entry
+    packed as `WordEngine.gram` stores it: an integer polynomial times 2^(k+l)."""
+    def pack(x):
+        out = {}
+        for (e, d), c in x.terms.items():
+            assert c.b == 0 and c.d == 1, "integer coefficients only"
+            out[(e << _MU_BITS) + d] = c.a << sum(level)
+        return out
+
+    return GramMatrix(level=level, window=0, constraint=None, basis=basis,
+                      blocks=[(idx, [[pack(x) for x in row] for row in rows])
+                              for idx, rows in blocks])
 
 
 def single_entry_gram(entry, level=(1, 1)):
-    return GramMatrix(level=level, window=0, constraint=None,
-                      basis=[make_word([(0, 0)], [(0, 0)])], blocks=[([0], [[entry]])])
+    g = hand_gram([make_word([(0, 0)], [(0, 0)])], [([0], [[entry]])], level=level)
+    assert g.entry(0, 0) == entry
+    return g
 
 
 def test_specialize_examples():
@@ -25,36 +41,31 @@ def test_specialize_examples():
 
 
 def test_specialize_rejects_nonhermitian():
-    i_c = ScalarPoly.gaussian(0, 1)
-    g = GramMatrix(level=(1, 0), window=0, constraint=None,
-                   basis=[make_word([(0, 0)], []), make_word([(1, 0)], [])],
-                   blocks=[([0, 1], [[MU, i_c], [i_c, MU]])])  # entry (1, 0) should be -i
+    q = q_pow(1)
+    g = hand_gram([make_word([(0, 0)], []), make_word([(1, 0)], [])],
+                  [([0, 1], [[MU, q], [q, MU]])])  # entry (1, 0) should be q^-1
     with pytest.raises(ValueError):
         unitarity.specialize(g, Fraction(1, 7), 1.0)
 
 
 def two_block_gram(last_entry):
     # two blocks of size 2, so one stack; the first block is hermitian
-    i_c = ScalarPoly.gaussian(0, 1)
-    return GramMatrix(level=(1, 0), window=0, constraint=None,
-                      basis=[make_word([(m, 0)], []) for m in range(4)],
-                      blocks=[([0, 1], [[MU, i_c], [-i_c, MU]]),
-                              ([2, 3], [[MU, i_c], [last_entry, MU]])])
+    return hand_gram([make_word([(m, 0)], []) for m in range(4)],
+                     [([0, 1], [[MU, ONE], [ONE, MU]]),
+                      ([2, 3], [[MU, ONE], [last_entry, MU]])])
 
 
 def test_specialize_rejects_nonhermitian_second_block():
-    i_c = ScalarPoly.gaussian(0, 1)
     with pytest.raises(ValueError):
-        unitarity.specialize(two_block_gram(i_c), Fraction(1, 7), 1.0)  # should be -i
-    assert unitarity.specialize(two_block_gram(-i_c), Fraction(1, 7), 1.0).herm_residual == 0.0
+        unitarity.specialize(two_block_gram(q_pow(1)), Fraction(1, 7), 1.0)  # should be 1
+    assert unitarity.specialize(two_block_gram(ONE), Fraction(1, 7), 1.0).herm_residual == 0.0
 
 
 def test_specialize_memory_is_bounded_by_the_blocks():
     # 1,000 1x1 blocks: a dense 1,000 x 1,000 complex matrix would take 16 MB
     n = 1000
-    g = GramMatrix(level=(1, 0), window=0, constraint=None,
-                   basis=[make_word([(m, 0)], []) for m in range(n)],
-                   blocks=[([i], [[MU]]) for i in range(n)])
+    g = hand_gram([make_word([(m, 0)], []) for m in range(n)],
+                  [([i], [[MU]]) for i in range(n)])
     tracemalloc.start()
     try:
         sg = unitarity.specialize(g, Fraction(1, 7), 2.0)
@@ -145,9 +156,8 @@ def test_compiled_specialize_matches_evaluate(engine, level, window, constraint)
 def test_eigensolve_uses_the_stored_blocks():
     # the two words differ in weight, yet this hand-built Gram stores them as one block
     two = ScalarPoly.from_rational(2)
-    g = GramMatrix(level=(1, 0), window=0, constraint=None,
-                   basis=[make_word([(0, 0)], []), make_word([(1, 0)], [])],
-                   blocks=[([0, 1], [[ONE, two], [two, ONE]])])
+    g = hand_gram([make_word([(0, 0)], []), make_word([(1, 0)], [])],
+                  [([0, 1], [[ONE, two], [two, ONE]])])
     sg = unitarity.specialize(g, Fraction(1, 7), 1.0)
     assert abs(unitarity.min_eigenvalue(sg) + 1.0) < 1e-12
 
