@@ -20,12 +20,13 @@ to the right), and by a closed combinatorial sum over entry patterns
 and cycle structures of the block matrix of paired arguments.  The two
 evaluators agree, and that agreement is part of the test suite.
 
-The action and the defining recursion run on word ids: a `WordEngine`
-numbers each word it meets and stores its peel split once, so the memo
-keys are `(i, j, mono, word_id)` for the action and the pair
-`(u_id, v_id)`, packed into one integer, for the form instead of nested
-`Word` tuples.  Only the public methods see
-`Word`s.
+The action and the defining recursion run on small integer ids: a
+`WordEngine` numbers each word it meets, storing its peel split and its
+lowering step once, and each non-raising operator E_ij(mono) it meets.
+Both memos are tables of rows: the form keeps one dict per left word id,
+keyed by the right word id, and the action one dict per operator id,
+keyed by word id.  So a memo lookup is one list index and one small-int
+dict lookup, and builds no tuple.  Only the public methods see `Word`s.
 
 The recursions also run on integer polynomials instead of `ScalarPoly`.
 Every value of the form is a polynomial in q^±1 and mu with integer
@@ -114,9 +115,6 @@ _ITWO = {0: 2}
 _IMU = {1: 1}
 _IMINUS_MU = {1: -1}
 
-# A form memo key packs the word ids (u_id, v_id) into u_id << _ID_BITS | v_id.
-_ID_BITS = 32
-
 
 def int_terms(poly):
     """The ((q_exp, mu_deg), coefficient) pairs of an integer polynomial, in
@@ -157,54 +155,77 @@ def _cycles(perm):
 class WordEngine:
     """Rewriting engine with per-instance memo tables.
 
-    Every word the engine meets is interned into a small integer id
-    (the vacuum is 0), and its peel split `(side, first_arg, rest_id)`
-    is stored once: side 1 when the word starts with an E12 factor, 3
-    when it starts with an E32 factor.  The recursions run on ids, so
-    their memo keys are small integers or flat tuples of them:
+    Every word the engine meets is interned into a small integer id (the
+    vacuum is 0), and two steps are stored with it once: its peel split
+    `(side, first_arg, rest_id)`, side 1 for a leading E12 factor and 3
+    for a leading E32 factor, and its lowering step
+    `(op_id, rest_id, shift)`: the omega-image E_{2,side}(-m,-n) of the
+    leading factor E_{side,2}(s^m t^n) as an operator id, and its q^(mn)
+    as the key shift (m*n) << _MU_BITS.  Every non-raising operator
+    E_ij(mono) gets an operator id on first use.  The memos are lists of
+    rows, one row per id:
 
-        _act_cache     (i, j, mono, word_id) -> {word_id: 2 x coefficient}
-        _form_cache    u_id << _ID_BITS | v_id -> 2^(k+l) x form value,
-                       for u of level (k, l)
-        _insert_cache  (word_id, side, arg) -> id of the word with the
-                       factor E12(arg) (side 1) or E32(arg) (side 3) added
+        _act_rows[op_id]   {word_id: {word_id: 2 x coefficient}}
+        _form_rows[u_id]   {v_id: 2^(k+l) x form value}, for u of level (k, l)
+        _insert_cache      (word_id, side, arg) -> id of the word with the
+                           factor E12(arg) (side 1) or E32(arg) (side 3) added
 
-    Coefficients and form values in these tables are integer polynomials
-    (see `_MU_BITS`), doubled as the module docstring explains; `act_mono`
-    and `form_words` turn them into `ScalarPoly`s through `int_poly_scalar`.
-    A `gram` keeps the form memo's values themselves as its entries, which
-    is why memo values are never mutated once stored.  The combinatorial
-    evaluator keeps its own tables, `_comb_tables` (entry patterns and
-    cycle lists per level) and `_comb_weights` (word -> weight).  The
-    public methods take and return `Word`s.  The tables grow for the life
-    of the engine; use a fresh engine to bound them.
+    The raising operators E12 and E32 have no row: they only add a factor,
+    through `_insert`.  Coefficients and form values in these tables are
+    integer polynomials (see `_MU_BITS`), doubled as the module docstring
+    explains; `act_mono` and `form_words` turn them into `ScalarPoly`s
+    through `int_poly_scalar`.  A `gram` keeps the form memo's values
+    themselves as its entries, which is why memo values are never mutated
+    once stored.  The combinatorial evaluator keeps its own tables,
+    `_comb_tables` (entry patterns and cycle lists per level) and
+    `_comb_weights` (word -> weight).  The public methods take and return
+    `Word`s.  The tables grow for the life of the engine; use a fresh
+    engine to bound them.
     """
 
     def __init__(self):
         self._ids = {VACUUM: 0}
         self._words = [VACUUM]
         self._peel = [None]
+        self._lower = [None]
+        self._form_rows = [{}]
+        self._op_ids = {}
+        self._ops = []
+        self._act_rows = []
         self._insert_cache = {}
-        self._act_cache = {}
-        self._form_cache = {}
         self._comb_tables = {}
         self._comb_weights = {}
 
-    # -- word ids ---------------------------------------------------------
+    # -- word and operator ids ----------------------------------------------
 
     def _intern(self, word):
-        """Id of a word; the first sighting records it and its peel split."""
+        """Id of a word; the first sighting records it, its peel split, its
+        lowering step and its form row."""
         wid = self._ids.get(word)
         if wid is None:
             if word.e12:
-                peel = (1, word.e12[0], self._intern(Word(word.e12[1:], word.e32)))
+                side, arg, rest = 1, word.e12[0], self._intern(Word(word.e12[1:], word.e32))
             else:
-                peel = (3, word.e32[0], self._intern(Word((), word.e32[1:])))
+                side, arg, rest = 3, word.e32[0], self._intern(Word((), word.e32[1:]))
             wid = len(self._words)
             self._ids[word] = wid
             self._words.append(word)
-            self._peel.append(peel)
+            self._peel.append((side, arg, rest))
+            # omega(E12(s^m t^n)) = -q^(mn) E21(s^-m t^-n), same shape for E32/E23
+            m, n = arg
+            self._lower.append((self._op(2, side, (-m, -n)), rest, (m * n) << _MU_BITS))
+            self._form_rows.append({})
         return wid
+
+    def _op(self, i, j, mono):
+        """Id of the non-raising operator E_ij(mono); the first sighting adds its row."""
+        key = (i, j, mono)
+        op = self._op_ids.get(key)
+        if op is None:
+            op = self._op_ids[key] = len(self._ops)
+            self._ops.append(key)
+            self._act_rows.append({})
+        return op
 
     def _insert(self, wid, side, arg):
         """Id of word `wid` times E12(arg) (side 1) or E32(arg) (side 3), re-sorted."""
@@ -225,16 +246,22 @@ class WordEngine:
         """E_ij(s^m t^n) . word expanded in the word basis (central terms dropped)."""
         words = self._words
         return {words[w]: int_poly_scalar(c, 2)
-                for w, c in self._act(i, j, mono, self._intern(word)).items()}
+                for w, c in self._act_any(i, j, mono, self._intern(word)).items()}
 
-    def _act(self, i, j, mono, wid):
-        """2 E_ij(mono) . word `wid` as {word id: integer polynomial}."""
+    def _act_any(self, i, j, mono, wid):
+        """2 E_ij(mono) . word `wid` for any operator, raising or not."""
         if j == 2 and i != 2:  # E12, E32 just add a factor; side = i
             return {self._insert(wid, i, mono): _ITWO}
-        key = (i, j, mono, wid)
-        res = self._act_cache.get(key)
+        return self._act(self._op(i, j, mono), wid)
+
+    def _act(self, op, wid):
+        """2 E_ij(mono) . word `wid` as {word id: integer polynomial}, for
+        the non-raising operator E_ij(mono) of id `op`."""
+        row = self._act_rows[op]
+        res = row.get(wid)
         if res is not None:
             return res
+        i, j, mono = self._ops[op]
         if not wid:
             if i == j and mono == (0, 0):
                 # 2 E_ii(1).1 = mu for E11 and E33, -mu for E22
@@ -246,13 +273,13 @@ class WordEngine:
             side, garg, rest = self._peel[wid]
             # adding one fixed factor is injective on words: no keys collide
             res = {self._insert(w, side, garg): c
-                   for w, c in self._act(i, j, mono, rest).items()}
+                   for w, c in self._act(op, rest).items()}
             # looked up in this module at call time, so it can be wrapped
             for (i2, j2, mono2, sign, e) in matrix_bracket_terms(
                 i, j, mono[0], mono[1], side, 2, garg[0], garg[1]
             ):
                 shift = e << _MU_BITS
-                for w, c in self._act(i2, j2, mono2, rest).items():
+                for w, c in self._act_any(i2, j2, mono2, rest).items():
                     old = res.get(w)
                     if old is None:
                         res[w] = {k + shift: sign * x for k, x in c.items()}
@@ -271,7 +298,7 @@ class WordEngine:
                         del res[w]
             if not res:
                 res = _IZERO
-        self._act_cache[key] = res
+        row[wid] = res
         return res
 
     def act(self, i, j, arg, combo):
@@ -330,22 +357,21 @@ class WordEngine:
 
     def _form(self, uid, vid):
         """2^(k+l) form_words on word ids, for u of level (k, l)."""
-        cache = self._form_cache
-        key = (uid << _ID_BITS) | vid
-        res = cache.get(key)
+        row = self._form_rows[uid]
+        res = row.get(vid)
         if res is not None:
             return res
         if not uid:
             res = _IZERO if vid else _IONE
         else:
-            side, (m, n), rest = self._peel[uid]
-            # omega(E12(s^m t^n)) = -q^(mn) E21(s^-m t^-n), same shape for E32/E23;
-            # each doubled action coefficient carries one factor 2 of 2^(k+l)
+            # (g u', v) = (u', omega(g) v); each doubled action coefficient
+            # carries one factor 2 of 2^(k+l)
+            op, rest, shift = self._lower[uid]
+            sub_get = self._form_rows[rest].get
             total = {}
             get = total.get
-            rest_key = rest << _ID_BITS
-            for w, c in self._act(2, side, (-m, -n), vid).items():
-                sub = cache.get(rest_key | w)
+            for w, c in self._act(op, vid).items():
+                sub = sub_get(w)
                 if sub is None:
                     sub = self._form(rest, w)
                 if sub:
@@ -354,11 +380,10 @@ class WordEngine:
                             k = k1 + k2
                             total[k] = get(k, 0) + x1 * x2
             if total:
-                shift = (m * n) << _MU_BITS
                 res = {k + shift: -x for k, x in total.items() if x} or _IZERO
             else:
                 res = _IZERO
-        cache[key] = res
+        row[vid] = res
         return res
 
     def form(self, cu, cv):

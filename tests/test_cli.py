@@ -66,6 +66,23 @@ def test_form_crosscheck_small():
     assert js["pairs"] == js["words"] ** 2
 
 
+def test_form_crosscheck_counts_every_mismatch_and_lists_fifty(monkeypatch, capsys):
+    # the rejected block-order convention as the combinatorial evaluator
+    # mismatches 171 pairs at total level <= 2, window 1
+    rejected = WordEngine.form_combinatorial
+    monkeypatch.setattr(WordEngine, "form_combinatorial",
+                        lambda self, u, v: rejected(self, u, v, identify_block_order=False))
+    assert cli.main(["form-crosscheck", "--level", "1,1", "--window", "1"]) == 1
+    out, err = capsys.readouterr()
+    js = json.loads(out)
+    assert js["ok"] is False
+    assert js["pairs"] == 190 ** 2
+    assert len(js["mismatches"]) == 50
+    assert err.startswith("FAILED: 171 mismatching pairs; first: ")
+    first = js["mismatches"][0]
+    assert f"first: {{'u': {first['u']!r}, 'v': {first['v']!r}," in err
+
+
 def test_unitarity_scan_flags(tmp_path):
     out = tmp_path / "scan.json"
     res = run_cli(

@@ -134,6 +134,23 @@ def test_oracle_equivalence_small_window(engine):
         assert engine.form_words(u, v) == engine.form_combinatorial(u, v)
 
 
+def test_negative_control_over_every_pair_to_total_level_two():
+    # all 36,100 ordered pairs of the 190 words of total level <= 2 at
+    # window 1: the recursion tells the rejected block-order convention
+    # apart wherever it overcounts, and agrees with the shipped one
+    words = [w for k in range(3) for l in range(3 - k)
+             for w in enumerate_words((k, l), window=1)]
+    assert len(words) == 190
+    eng = WordEngine()
+    shipped = rejected = 0
+    for u in words:
+        for v in words:
+            a = eng.form_words(u, v)
+            shipped += a != eng.form_combinatorial(u, v)
+            rejected += a != eng.form_combinatorial(u, v, identify_block_order=False)
+    assert (shipped, rejected) == (0, 171)
+
+
 def test_hermitian_symmetry_exact(engine):
     words = [w for k in range(3) for l in range(3 - k)
              for w in enumerate_words((k, l), window=1)]
@@ -443,10 +460,12 @@ def test_act_mono_outputs_are_pinned():
 def test_form_memo_holds_integer_polynomials():
     eng = WordEngine()
     eng.gram((2, 1), window=1)
-    assert eng._form_cache
-    for value in eng._form_cache.values():
+    form_values = [value for row in eng._form_rows for value in row.values()]
+    actions = [words for row in eng._act_rows for words in row.values()]
+    assert form_values and actions
+    for value in form_values:
         assert all(type(c) is int for c in value.values())
-    for words in eng._act_cache.values():
+    for words in actions:
         for coeff in words.values():
             assert all(type(c) is int for c in coeff.values())
 
