@@ -512,14 +512,24 @@ class WordEngine:
         so hermitian symmetry stays a genuine check downstream
         (`unitarity.specialize` measures its residual).  The block entries
         are the form memo's own integer polynomials, not copies.
+
+        The form is invariant under one common shift of all arguments,
+        (u, v) = (u + s, v + s), which moves the weight by (k + l) s.  So a
+        block of weight W is evaluated on its words shifted by -s,
+        s = floor(W / max(k + l, 1)): blocks whose weights agree modulo
+        k + l share one canonical translate, and so share entry objects,
+        one per translation orbit of same-weight pairs.
         """
         basis = enumerate_words(level, window=window, constraint=constraint)
-        ids = [self._intern(w) for w in basis]
         groups = {}
         for i, w in enumerate(basis):
             groups.setdefault(word_weight(w), []).append(i)
-        blocks = [(group, [[self._form(ids[i], ids[j]) for j in group] for i in group])
-                  for group in groups.values()]
+        k_l = max(sum(level), 1)
+        blocks = []
+        for (ws, wt), group in groups.items():
+            a, b = -(ws // k_l), -(wt // k_l)
+            ids = [self._intern(shift_word(a, b, basis[i])) for i in group]
+            blocks.append((group, [[self._form(i, j) for j in ids] for i in ids]))
         return GramMatrix(level=level, window=window, constraint=constraint,
                           basis=basis, blocks=blocks)
 
@@ -562,7 +572,8 @@ class GramMatrix:
     # (basis indices, square matrix over them), one per weight group in
     # first-appearance order; every entry outside them is ZERO.  An entry is
     # an integer polynomial (see `_MU_BITS`) holding `scale` times the form
-    # value, shared with the form memo that computed it and never mutated
+    # value, shared with the form memo that computed it and with every entry
+    # of the same translation orbit (see `WordEngine.gram`), never mutated
     blocks: list = field(repr=False)
     # caches built on first use (by unitarity.specialize, `entry` and `rows`)
     _compiled: object = field(default=None, init=False, repr=False, compare=False)

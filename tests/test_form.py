@@ -5,7 +5,9 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from qtgl3 import cli, fock
 from qtgl3.form import (
@@ -221,6 +223,37 @@ def test_shift_preserves_form(engine):
         )
 
 
+ARG = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def same_weight_pairs(draw):
+    """Two words of one level, total level <= 4, of the same weight: the
+    last argument of v absorbs the weight difference."""
+    k = draw(st.integers(0, 4))
+    l = draw(st.integers(0, 4 - k))
+    u = make_word(draw(st.lists(ARG, min_size=k, max_size=k)),
+                  draw(st.lists(ARG, min_size=l, max_size=l)))
+    args = draw(st.lists(ARG, min_size=k + l, max_size=k + l))
+    if args:
+        (um, un), (vm, vn) = word_weight(u), word_weight(Word(tuple(args), ()))
+        m, n = args[-1]
+        args[-1] = (m + um - vm, n + un - vn)
+    return u, make_word(args[:k], args[k:])
+
+
+@given(same_weight_pairs(), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+@settings(max_examples=60, deadline=None)
+def test_translation_invariance_beyond_level_two(engine, pair, shift):
+    u, v = pair
+    a, b = shift
+    want = engine.form_words(u, v)
+    su, sv = shift_word(a, b, u), shift_word(a, b, v)
+    assert engine.form_words(su, sv) == want
+    # the combinatorial evaluator shares no table with the recursion
+    assert engine.form_combinatorial(su, sv) == want
+
+
 def test_diagonal_leading_term(engine):
     rng = random.Random(27)
     words = [w for k in range(3) for l in range(3 - k)
@@ -358,6 +391,37 @@ def test_gram_blocks_skip_only_genuine_zeros(level, window, constraint):
                 assert g.entry(i, j) is ZERO
 
 
+@pytest.mark.parametrize(
+    "level,window,constraint",
+    [((2, 0), 2, None), ((1, 1), 2, None), ((2, 1), None, (3, 3))],
+)
+def test_orbit_shared_blocks_match_fresh_form_words(level, window, constraint):
+    # blocks are evaluated on shifted translates of their words (negative
+    # exponents under the constraint); each entry must still be the form of
+    # the basis words themselves
+    g = WordEngine().gram(level, window=window, constraint=constraint)
+    fresh = WordEngine()
+    for idx, _ in g.blocks:
+        for i in idx:
+            for j in idx:
+                assert g.entry(i, j) == fresh.form_words(g.basis[i], g.basis[j])
+
+
+def test_gram_shares_one_entry_per_translation_orbit():
+    # (u, v) ~ (u + s, v + s); an orbit's representative shifts u's first
+    # argument to (0, 0)
+    g = WordEngine().gram((2, 0), window=2)
+    orbits = set()
+    for idx, _ in g.blocks:
+        for i in idx:
+            u = g.basis[i]
+            m, n = (u.e12 or u.e32)[0]
+            orbits.update((shift_word(-m, -n, u), shift_word(-m, -n, g.basis[j]))
+                          for j in idx)
+    entries = {id(x) for _, block in g.blocks for row in block for x in row}
+    assert len(orbits) == 433
+    assert len(entries) <= len(orbits)
+
 
 # -- the interned engine ---------------------------------------------------
 
@@ -392,10 +456,11 @@ def test_act_mono_keys_are_canonical_and_stable_across_gram():
 
 
 def test_reused_engine_gram_matches_fresh_engines():
+    # at window 2 the memo already holds words the blocks shift onto
     eng = WordEngine()
-    for level in ((1, 1), (2, 0)):
-        got = eng.gram(level, window=1)
-        want = WordEngine().gram(level, window=1)
+    for level, window in (((1, 1), 1), ((2, 0), 1), ((2, 0), 2), ((1, 1), 2)):
+        got = eng.gram(level, window=window)
+        want = WordEngine().gram(level, window=window)
         assert got.basis == want.basis
         assert got.blocks == want.blocks
 
