@@ -118,8 +118,13 @@ _IMINUS_MU = {1: -1}
 
 def int_terms(poly):
     """The ((q_exp, mu_deg), coefficient) pairs of an integer polynomial, in
-    its own term order; the one place the packed keys are decoded."""
+    its own term order; decoded here and, on arrays, in `int_key_arrays`."""
     return [((k >> _MU_BITS, k & _MU_MASK), c) for k, c in poly.items()]
+
+
+def int_key_arrays(keys):
+    """`int_terms`' decoding on an integer array of packed keys: (q_exps, mu_degs)."""
+    return keys >> _MU_BITS, keys & _MU_MASK
 
 
 def int_poly_scalar(poly, denom):

@@ -1,21 +1,22 @@
 """Numeric specialization of Gram matrices and positivity scans over mu.
 
-Exact Gram entries are evaluated at q = exp(2*pi*i*theta) (theta
-rational, so |q| = 1 by construction) and a real mu, straight into one
-(count, size, size) stack per size class of the Gram's weight blocks.
-Each stack is symmetrized and positive definiteness is read off its
-smallest eigenvalue; no n x n array is built.
+A Gram is compiled once into term arrays per size class of its weight
+blocks.  `evaluate` takes it to q = exp(2*pi*i*theta), theta rational so
+|q| = 1, as one (D, count, size, size) stack per size class: the matrices
+G_d of its D mu degrees.  `at_mu` forms sum_d mu^d G_d at a real mu and
+symmetrizes it.  Positive definiteness is read off each stack's smallest
+eigenvalue; no n x n array is built.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from .form import int_terms
+from .form import int_key_arrays
 from .scalars import q_phase
 
 HERMITICITY_ERROR = 1e-8
@@ -37,8 +38,8 @@ class SpecializedGram:
 
     @property
     def matrix(self):
-        """The dense n x n matrix, built on demand.  Nothing in qtgl3 reads it;
-        perfbench/tracing.py counts `unitarity.entries_evaluated` as its size."""
+        """The dense n x n matrix, built on demand.  Only the tests read it, and
+        perfbench/tracing.py, as `unitarity.entries_evaluated` per `specialize`."""
         n = sum(idx.size for idx, _ in self.blocks)
         m = np.zeros((n, n), dtype=complex)
         for idx, stack in self.blocks:
@@ -50,14 +51,15 @@ class SpecializedGram:
 class CompiledGram:
     """A Gram matrix as term arrays over its weight blocks, grouped by block size.
 
-    `classes` holds one (index, slot, q_index, mu_index, coeff) tuple per
-    block size: index is the (count, size) array of basis positions, one
-    row per block, and term k contributes the real
-    coeff[k] * q^q_exps[q_index[k]] * mu^mu_degs[mu_index[k]] to position
-    slot[k] of the flattened (count, size, size) stack.  Terms appear block
-    by block, row-major within a block and, within an entry, in its own
-    term order, so each entry accumulates in the order of
-    `ScalarPoly.evaluate`.  The blocks partition the basis.
+    `classes` holds one (index, at, q_index, coeff) tuple per block size:
+    index is the (count, size) array of basis positions, one row per block,
+    and term k adds coeff[k] * q^q_exps[q_index[k]] at position at[k] of
+    the flattened (D, count, size, size) stack: slice d holds the
+    coefficient matrices of mu^d.  q_exps runs from the smallest exponent
+    to the largest, and mu_degs is 0, ..., D - 1.  Terms appear block by
+    block, row-major within a block and, within an entry, in its own term
+    order.  The blocks partition the basis.  Every index array is intp:
+    `at` passes 2^16 at modest sizes.
     """
 
     classes: tuple
@@ -69,64 +71,90 @@ def compile_gram(gram):
     """Flatten the exact block entries once; the blocks are the Gram's own.
     Each coefficient is c / gram.scale, a correctly rounded int division."""
     scale = gram.scale
-    q_slot, mu_slot = {}, {}
     by_size = {}
     for idx, rows in gram.blocks:
         by_size.setdefault(len(idx), []).append((idx, rows))
-    classes = []
+    classes, q_range, degrees = [], [], 0
     for blocks in by_size.values():
-        slot, q_index, mu_index, coeff = array("q"), array("q"), array("q"), array("d")
-        # the blocks' entries in row-major order; `at` is the position in the stack
-        entries = (entry for _, rows in blocks for row in rows for entry in row)
-        for at, entry in enumerate(entries):
-            for (e, d), c in int_terms(entry):
-                slot.append(at)
-                q_index.append(q_slot.setdefault(e, len(q_slot)))
-                mu_index.append(mu_slot.setdefault(d, len(mu_slot)))
-                coeff.append(c / scale)
-        ints = (np.frombuffer(a, dtype=np.int64) for a in (slot, q_index, mu_index))
-        classes.append((np.array([idx for idx, _ in blocks], dtype=np.intp), *ints,
-                        np.frombuffer(coeff, dtype=float)))
-    return CompiledGram(classes=tuple(classes), q_exps=tuple(q_slot), mu_degs=tuple(mu_slot))
+        # the blocks' entries in row-major order: entry k is slot k of a stack
+        entries = [entry for _, rows in blocks for row in rows for entry in row]
+        lengths = np.fromiter(map(len, entries), dtype=np.intp, count=len(entries))
+        keys = np.fromiter(chain.from_iterable(entries), dtype=np.intp, count=lengths.sum())
+        coeff = np.fromiter((c / scale for c in chain.from_iterable(map(dict.values, entries))),
+                            dtype=float, count=keys.size)
+        e, d = int_key_arrays(keys)
+        q_range += [e.min(), e.max()]
+        degrees = max(degrees, d.max() + 1)
+        at = d * len(entries) + np.repeat(np.arange(len(entries), dtype=np.intp), lengths)
+        classes.append((np.array([idx for idx, _ in blocks], dtype=np.intp), at, e, coeff))
+    lo = min(q_range)
+    return CompiledGram(classes=tuple((idx, at, e - lo, coeff) for idx, at, e, coeff in classes),
+                        q_exps=tuple(range(lo, max(q_range) + 1)), mu_degs=tuple(range(degrees)))
 
 
-def specialize(gram, theta, mu):
-    """Evaluate the compiled entries into one stack per block size, then symmetrize.
+@dataclass(frozen=True)
+class CoefficientStacks:
+    """A Gram at one theta as polynomials in mu: S(mu) = sum_d mu^d G_d."""
 
-    Each distinct q exponent gets one phase and each distinct mu degree one
-    power.  `WordEngine.gram` computes both triangles, so the
-    pre-symmetrization residual |S - S^H| over every stack is a real check:
-    a residual above HERMITICITY_ERROR means the exact entries upstream
-    were not actually hermitian, which is a bug, not a rounding issue.  A mu
-    whose powers or entries are not finite floats raises NonFiniteSample.
+    theta: Fraction
+    mu_degs: tuple
+    herm_residual: float
+    # (index, stack) per block size: (count, size) basis positions and the
+    # (D, count, size, size) coefficient matrices, one slice per mu degree
+    blocks: tuple
+
+
+def evaluate(gram, theta):
+    """The coefficient matrices G_d of the Gram at q = exp(2*pi*i*theta).
+
+    One phase per q exponent, one `np.add.at` per block size.
+    `WordEngine.gram` computes both triangles, so the residual |G_d - G_d^H|
+    over every degree and stack is a real check: above HERMITICITY_ERROR,
+    the exact entries upstream were not hermitian, a bug, not rounding.
     """
     theta = Fraction(theta)
-    mu = float(mu)
     if gram._compiled is None:
         gram._compiled = compile_gram(gram)
     c = gram._compiled
     phases = np.array([q_phase(theta, e) for e in c.q_exps], dtype=complex)
-    try:
-        powers = np.array([mu ** d for d in c.mu_degs], dtype=float)
-    except OverflowError:
-        raise NonFiniteSample(f"mu={mu!r}: a power of mu overflows") from None
     blocks, residual = [], 0.0
-    # an overflow surfaces as NonFiniteSample below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for idx, slot, q_index, mu_index, coeff in c.classes:
-            count, size = idx.shape
-            s = np.zeros(count * size * size, dtype=complex)
-            np.add.at(s, slot, coeff * phases[q_index] * powers[mu_index])
-            s = s.reshape(count, size, size)
-            h = s.conj().transpose(0, 2, 1)
-            stack = (s + h) / 2
-            if not np.isfinite(stack).all():
-                raise NonFiniteSample(f"mu={mu!r}: a Gram entry overflows")
-            residual = max(residual, float(np.max(np.abs(s - h))))
-            blocks.append((idx, stack))
+    for idx, at, q_index, coeff in c.classes:
+        count, size = idx.shape
+        g = np.zeros((len(c.mu_degs), count, size, size), dtype=complex)
+        np.add.at(g.reshape(-1), at, coeff * phases[q_index])
+        residual = max(residual, float(np.max(np.abs(g - g.conj().transpose(0, 1, 3, 2)))))
+        blocks.append((idx, g))
     if residual > HERMITICITY_ERROR:
         raise ValueError(f"hermiticity residual {residual:g} exceeds {HERMITICITY_ERROR:g}")
-    return SpecializedGram(theta=theta, mu=mu, herm_residual=residual, blocks=tuple(blocks))
+    return CoefficientStacks(theta=theta, mu_degs=c.mu_degs, herm_residual=residual,
+                             blocks=tuple(blocks))
+
+
+def at_mu(stacks, mu):
+    """The Gram at a real mu: each stack sum_d mu^d G_d, symmetrized after the
+    sum, so the stacks are exactly hermitian.  A mu whose powers or summed
+    entries are not finite floats raises NonFiniteSample."""
+    mu = float(mu)
+    try:
+        powers = [mu ** d for d in stacks.mu_degs]
+    except OverflowError:
+        raise NonFiniteSample(f"mu={mu!r}: a power of mu overflows") from None
+    blocks = []
+    # an overflow surfaces as NonFiniteSample below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, g in stacks.blocks:
+            s = sum(power * g_d for power, g_d in zip(powers, g))
+            stack = (s + s.conj().transpose(0, 2, 1)) / 2
+            if not np.isfinite(stack).all():
+                raise NonFiniteSample(f"mu={mu!r}: a Gram entry overflows")
+            blocks.append((idx, stack))
+    return SpecializedGram(theta=stacks.theta, mu=mu, herm_residual=stacks.herm_residual,
+                           blocks=tuple(blocks))
+
+
+def specialize(gram, theta, mu):
+    """The Gram at (theta, mu): `at_mu(evaluate(gram, theta), mu)`."""
+    return at_mu(evaluate(gram, theta), mu)
 
 
 def min_eigenvalue(sg):
@@ -162,9 +190,10 @@ def mu_scan(engine, level, theta, mu_grid, window=None, constraint=None):
     theta = Fraction(theta)
     gram = engine.gram(level, window=window, constraint=constraint)
     tol = PD_TOLERANCE * len(gram.basis)
+    stacks = evaluate(gram, theta)
     samples = []
     for mu in sorted(float(m) for m in mu_grid):
-        eig = min_eigenvalue(specialize(gram, theta, mu))
+        eig = min_eigenvalue(at_mu(stacks, mu))
         samples.append((mu, eig, bool(eig > tol)))
     return ScanReport(level=tuple(level), window=gram.window, theta=theta,
                       samples=samples, constraint=gram.constraint)

@@ -141,6 +141,16 @@ def test_scan_rejects_overflowing_mu():
     assert res.stdout == ""
 
 
+def test_scan_overflow_inside_a_grid_is_named():
+    # the scan fails at the one mu that overflows, before anything reaches stdout
+    for level, grid, name in (("1,1", "1,1e200", "mu=1e+200"), ("1,0", "1e308,2", "mu=1e+308")):
+        res = run_cli("unitarity-scan", "--level", level, "--window", "0", "--theta", "1/7",
+                      f"--mu={grid}")
+        assert_usage_error(res)
+        assert name in res.stderr
+        assert res.stdout == ""
+
+
 def test_emit_refuses_nonfinite_floats(tmp_path):
     out = tmp_path / "x.json"
     with pytest.raises(ValueError):

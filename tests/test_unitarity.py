@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qtgl3 import unitarity
-from qtgl3.form import _MU_BITS, GramMatrix, enumerate_words, make_word
-from qtgl3.scalars import MU, ONE, ScalarPoly, q_pow
+from qtgl3.form import _MU_BITS, GramMatrix, enumerate_words, int_terms, make_word
+from qtgl3.scalars import MU, ONE, ZERO, ScalarPoly, q_pow
 
 
 def hand_gram(basis, blocks, level=(1, 0)):
@@ -48,6 +48,15 @@ def test_specialize_rejects_nonhermitian():
         unitarity.specialize(g, Fraction(1, 7), 1.0)
 
 
+def test_specialize_checks_every_mu_degree():
+    # entry (0, 1) vanishes at mu = 1, so S(1) is hermitian, but G_1 = [[1, q], [0, 1]] is not
+    q = q_pow(1)
+    g = hand_gram([make_word([(0, 0)], []), make_word([(1, 0)], [])],
+                  [([0, 1], [[MU, q * MU - q * MU * MU], [ZERO, MU]])])
+    with pytest.raises(ValueError):
+        unitarity.specialize(g, Fraction(1, 7), 1.0)
+
+
 def two_block_gram(last_entry):
     # two blocks of size 2, so one stack; the first block is hermitian
     return hand_gram([make_word([(m, 0)], []) for m in range(4)],
@@ -74,6 +83,20 @@ def test_specialize_memory_is_bounded_by_the_blocks():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert unitarity.min_eigenvalue(sg) == 2.0
+
+
+def test_stack_indices_are_wide():
+    # mu degrees 0..4 x 20,000 1x1 blocks: the flattened (degree, slot) index passes 2^16
+    n = 20_000
+    entry = {4: 2, 1: 2}  # 2 (mu^4 + mu), packed at level (1, 0)
+    g = GramMatrix(level=(1, 0), window=0, constraint=None,
+                   basis=[make_word([(m, 0)], []) for m in range(n)],
+                   blocks=[([i], [[entry]]) for i in range(n)])
+    (_, at, _, _), = unitarity.compile_gram(g).classes
+    assert at.dtype == np.intp and at.max() >= 2 ** 16
+    (idx, stack), = unitarity.specialize(g, Fraction(1, 7), 2.0).blocks
+    assert idx.shape == (n, 1)
+    assert np.all(stack == 18)
 
 
 def test_min_eigenvalue_examples():
@@ -132,6 +155,10 @@ def test_scan_report_json(engine):
     json.dumps(js)  # serializable
 
 
+GRAM_CASES = [((1, 1), 1, None), ((2, 0), 1, None), ((1, 0), None, (2, 2))]
+THETAS = (Fraction(0), Fraction(1, 3), Fraction(1, 7), Fraction(89, 233))
+
+
 def dense_specialize(gram, theta, mu):
     """The per-entry reference: one ScalarPoly.evaluate per entry, then symmetrize."""
     n = len(gram.basis)
@@ -139,18 +166,83 @@ def dense_specialize(gram, theta, mu):
     return (m + m.conj().T) / 2
 
 
-@pytest.mark.parametrize(
-    "level,window,constraint",
-    [((1, 1), 1, None), ((2, 0), 1, None), ((1, 0), None, (2, 2))],
-)
+@pytest.mark.parametrize("level,window,constraint", GRAM_CASES)
 def test_compiled_specialize_matches_evaluate(engine, level, window, constraint):
     g = engine.gram(level, window=window, constraint=constraint)
-    for theta in (Fraction(0), Fraction(1, 3), Fraction(1, 7), Fraction(89, 233)):
+    for theta in THETAS:
         for mu in (-1.0, 0.0, 0.25, 5.0):
             want = dense_specialize(g, theta, mu)
             sg = unitarity.specialize(g, theta, mu)
             assert np.max(np.abs(sg.matrix - want)) < 1e-12
             assert abs(unitarity.min_eigenvalue(sg) - np.linalg.eigvalsh(want)[0]) < 1e-9
+
+
+@pytest.mark.parametrize("level,window,constraint", GRAM_CASES)
+def test_mu_scan_evaluates_once_per_theta(engine, monkeypatch, level, window, constraint):
+    evaluate, thetas = unitarity.evaluate, []
+
+    def counting(gram, theta):
+        thetas.append(theta)
+        return evaluate(gram, theta)
+
+    g = engine.gram(level, window=window, constraint=constraint)
+    tol = unitarity.PD_TOLERANCE * len(g.basis)
+    grid = [5.0, -1.0, 0.0, 0.25, 1.0]
+    for theta in THETAS:
+        monkeypatch.setattr(unitarity, "evaluate", counting)
+        report = unitarity.mu_scan(engine, level, theta, grid, window=window,
+                                   constraint=constraint)
+        monkeypatch.setattr(unitarity, "evaluate", evaluate)
+        assert thetas == [theta]
+        thetas.clear()
+        assert [mu for mu, _, _ in report.samples] == sorted(grid)
+        for mu, eig, pd in report.samples:
+            want = unitarity.min_eigenvalue(unitarity.specialize(g, theta, mu))
+            assert abs(eig - want) < 1e-12
+            assert pd == (want > tol)
+
+
+def compiled_terms(c):
+    """(size class, slot, q exponent, mu degree, coefficient) of each compiled term."""
+    out = []
+    for k, (idx, at, q_index, coeff) in enumerate(c.classes):
+        assert at.dtype == q_index.dtype == np.intp
+        count, size = idx.shape
+        degree, slot = np.divmod(at, count * size * size)
+        out += [(k, s, c.q_exps[e], c.mu_degs[d], x)
+                for s, e, d, x in zip(slot.tolist(), q_index.tolist(), degree.tolist(),
+                                      coeff.tolist())]
+    return out
+
+
+def oracle_terms(gram):
+    """The same, term by term from `int_terms` (blocks grouped by size in
+    first-appearance order, entries row-major within each size class), and
+    the basis indices of each class's blocks."""
+    by_size = {}
+    for idx, rows in gram.blocks:
+        by_size.setdefault(len(idx), []).append((idx, rows))
+    out = []
+    for k, blocks in enumerate(by_size.values()):
+        entries = [entry for _, rows in blocks for row in rows for entry in row]
+        out += [(k, at, e, d, c / gram.scale)
+                for at, entry in enumerate(entries) for (e, d), c in int_terms(entry)]
+    return out, [[idx for idx, _ in blocks] for blocks in by_size.values()]
+
+
+def test_compile_gram_matches_term_oracle(engine):
+    g = engine.gram((2, 0), window=2)
+    # 1,897 block entries, one shared entry object per translation orbit
+    assert len({id(entry) for _, rows in g.blocks for row in rows for entry in row}) == 433
+    big = GramMatrix(level=(1, 0), window=0, constraint=None, basis=[make_word([(0, 0)], [])],
+                     blocks=[([0], [[{(-3 << _MU_BITS) + 1: 3 * 2 ** 70}]])])
+    for gram in (g, big):
+        c = unitarity.compile_gram(gram)
+        terms, indices = oracle_terms(gram)
+        assert compiled_terms(c) == terms
+        assert [idx.tolist() for idx, *_ in c.classes] == indices
+        assert min(c.q_exps) < 0
+    assert compiled_terms(c) == [(0, 0, -3, 1, 3 * 2 ** 70 / 2)]
 
 
 def test_eigensolve_uses_the_stored_blocks():
