@@ -26,7 +26,7 @@ from .form import (
     word_str,
     words_to_polys_rank,
 )
-from .unitarity import ScanReport, SpecializedGram, min_eigenvalue, mu_scan, specialize
+from .unitarity import ScanReport, min_eigenvalue, mu_scan, specialize
 
 __all__ = [
     "GaussianRational", "ScalarPoly", "TorusElement", "mono_mul",
@@ -35,7 +35,7 @@ __all__ = [
     "apply_D", "apply_generator", "apply_P", "apply_Q", "pi",
     "VACUUM", "GramMatrix", "Word", "WordEngine", "enumerate_words",
     "make_word", "shift_word", "word_level", "word_str", "words_to_polys_rank",
-    "ScanReport", "SpecializedGram", "min_eigenvalue", "mu_scan", "specialize",
+    "ScanReport", "min_eigenvalue", "mu_scan", "specialize",
 ]
 
 __version__ = "0.1.0"

@@ -515,7 +515,7 @@ class WordEngine:
         are stored as the Gram's blocks: every cross-weight entry is the
         exact zero and is not stored.  Both triangles are computed,
         so hermitian symmetry stays a genuine check downstream
-        (`unitarity.specialize` measures its residual).  The block entries
+        (`unitarity.evaluate` measures its residual).  The block entries
         are the form memo's own integer polynomials, not copies.
 
         The form is invariant under one common shift of all arguments,
@@ -580,8 +580,7 @@ class GramMatrix:
     # value, shared with the form memo that computed it and with every entry
     # of the same translation orbit (see `WordEngine.gram`), never mutated
     blocks: list = field(repr=False)
-    # caches built on first use (by unitarity.specialize, `entry` and `rows`)
-    _compiled: object = field(default=None, init=False, repr=False, compare=False)
+    # basis index -> block position, built on first use by `entry` and `rows`
     _position: dict = field(default=None, init=False, repr=False, compare=False)
 
     @property

@@ -1,11 +1,14 @@
 """Numeric specialization of Gram matrices and positivity scans over mu.
 
-A Gram is compiled once into term arrays per size class of its weight
-blocks.  `evaluate` takes it to q = exp(2*pi*i*theta), theta rational so
-|q| = 1, as one (D, count, size, size) stack per size class: the matrices
-G_d of its D mu degrees.  `at_mu` forms sum_d mu^d G_d at a real mu and
-symmetrizes it.  Positive definiteness is read off each stack's smallest
-eigenvalue; no n x n array is built.
+One forward pipeline, with no n x n array anywhere:
+`compile_gram(gram)` flattens the exact block entries into term arrays
+per size class of the weight blocks, once per Gram.  `evaluate(compiled,
+theta)` takes them to q = exp(2*pi*i*theta), theta rational so |q| = 1,
+as one (D, count, size, size) stack per size class: the matrices G_d of
+its D mu degrees, once per theta.  `at_mu(stacks, mu)` forms
+sum_d mu^d G_d at a real mu and symmetrizes it into hermitian
+(index, stack) blocks, and `min_eigenvalue(blocks)` reads positive
+definiteness off each stack's smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -25,26 +28,6 @@ PD_TOLERANCE = 1e-9  # scaled by matrix dimension
 
 class NonFiniteSample(ArithmeticError):
     """A mu whose powers or evaluated Gram entries are not finite floats."""
-
-
-@dataclass
-class SpecializedGram:
-    theta: Fraction
-    mu: float
-    herm_residual: float
-    # (index, stack) per block size: (count, size) basis positions, one row per
-    # weight block, and the (count, size, size) symmetrized blocks
-    blocks: tuple
-
-    @property
-    def matrix(self):
-        """The dense n x n matrix, built on demand.  Only the tests read it, and
-        perfbench/tracing.py, as `unitarity.entries_evaluated` per `specialize`."""
-        n = sum(idx.size for idx, _ in self.blocks)
-        m = np.zeros((n, n), dtype=complex)
-        for idx, stack in self.blocks:
-            m[idx[:, :, None], idx[:, None, :]] = stack
-        return m
 
 
 @dataclass(frozen=True)
@@ -96,7 +79,6 @@ def compile_gram(gram):
 class CoefficientStacks:
     """A Gram at one theta as polynomials in mu: S(mu) = sum_d mu^d G_d."""
 
-    theta: Fraction
     mu_degs: tuple
     herm_residual: float
     # (index, stack) per block size: (count, size) basis positions and the
@@ -104,8 +86,8 @@ class CoefficientStacks:
     blocks: tuple
 
 
-def evaluate(gram, theta):
-    """The coefficient matrices G_d of the Gram at q = exp(2*pi*i*theta).
+def evaluate(compiled, theta):
+    """The coefficient matrices G_d of a `CompiledGram` at q = exp(2*pi*i*theta).
 
     One phase per q exponent, one `np.add.at` per block size.
     `WordEngine.gram` computes both triangles, so the residual |G_d - G_d^H|
@@ -113,27 +95,24 @@ def evaluate(gram, theta):
     the exact entries upstream were not hermitian, a bug, not rounding.
     """
     theta = Fraction(theta)
-    if gram._compiled is None:
-        gram._compiled = compile_gram(gram)
-    c = gram._compiled
-    phases = np.array([q_phase(theta, e) for e in c.q_exps], dtype=complex)
+    phases = np.array([q_phase(theta, e) for e in compiled.q_exps], dtype=complex)
     blocks, residual = [], 0.0
-    for idx, at, q_index, coeff in c.classes:
+    for idx, at, q_index, coeff in compiled.classes:
         count, size = idx.shape
-        g = np.zeros((len(c.mu_degs), count, size, size), dtype=complex)
+        g = np.zeros((len(compiled.mu_degs), count, size, size), dtype=complex)
         np.add.at(g.reshape(-1), at, coeff * phases[q_index])
         residual = max(residual, float(np.max(np.abs(g - g.conj().transpose(0, 1, 3, 2)))))
         blocks.append((idx, g))
     if residual > HERMITICITY_ERROR:
         raise ValueError(f"hermiticity residual {residual:g} exceeds {HERMITICITY_ERROR:g}")
-    return CoefficientStacks(theta=theta, mu_degs=c.mu_degs, herm_residual=residual,
+    return CoefficientStacks(mu_degs=compiled.mu_degs, herm_residual=residual,
                              blocks=tuple(blocks))
 
 
 def at_mu(stacks, mu):
-    """The Gram at a real mu: each stack sum_d mu^d G_d, symmetrized after the
-    sum, so the stacks are exactly hermitian.  A mu whose powers or summed
-    entries are not finite floats raises NonFiniteSample."""
+    """The Gram at a real mu as a tuple of (index, stack) blocks: each stack is
+    sum_d mu^d G_d, symmetrized after the sum, so it is exactly hermitian.  A mu
+    whose powers or summed entries are not finite floats raises NonFiniteSample."""
     mu = float(mu)
     try:
         powers = [mu ** d for d in stacks.mu_degs]
@@ -148,18 +127,17 @@ def at_mu(stacks, mu):
             if not np.isfinite(stack).all():
                 raise NonFiniteSample(f"mu={mu!r}: a Gram entry overflows")
             blocks.append((idx, stack))
-    return SpecializedGram(theta=stacks.theta, mu=mu, herm_residual=stacks.herm_residual,
-                           blocks=tuple(blocks))
+    return tuple(blocks)
 
 
 def specialize(gram, theta, mu):
-    """The Gram at (theta, mu): `at_mu(evaluate(gram, theta), mu)`."""
-    return at_mu(evaluate(gram, theta), mu)
+    """The Gram at (theta, mu) in one shot: `at_mu(evaluate(compile_gram(gram), theta), mu)`."""
+    return at_mu(evaluate(compile_gram(gram), theta), mu)
 
 
-def min_eigenvalue(sg):
-    """Smallest eigenvalue, as the minimum over the stacks of `sg` (inf if none)."""
-    return min((float(np.linalg.eigvalsh(stack)[:, 0].min()) for _, stack in sg.blocks),
+def min_eigenvalue(blocks):
+    """Smallest eigenvalue, as the minimum over the (index, stack) blocks (inf if none)."""
+    return min((float(np.linalg.eigvalsh(stack)[:, 0].min()) for _, stack in blocks),
                default=float("inf"))
 
 
@@ -190,7 +168,7 @@ def mu_scan(engine, level, theta, mu_grid, window=None, constraint=None):
     theta = Fraction(theta)
     gram = engine.gram(level, window=window, constraint=constraint)
     tol = PD_TOLERANCE * len(gram.basis)
-    stacks = evaluate(gram, theta)
+    stacks = evaluate(compile_gram(gram), theta)
     samples = []
     for mu in sorted(float(m) for m in mu_grid):
         eig = min_eigenvalue(at_mu(stacks, mu))

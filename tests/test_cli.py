@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import pathlib
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -353,3 +355,29 @@ def test_scan_outputs_are_pinned():
         assert [s["pd"] for s in samples] == SCAN_PD[(level, *mode, theta)], (level, theta)
         for s, eig in zip(samples, want):
             assert abs(s["min_eig"] - eig) < 1e-9, (level, theta, s["mu"])
+
+
+REPRODUCE = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_reports.py"
+
+
+def stub_main(failing):
+    """A CLI stand-in: writes a minimal scan document to --out and exits 1
+    for the `failing` command, 0 for every other."""
+    def main(argv):
+        out = pathlib.Path(argv[argv.index("--out") + 1])
+        out.write_text(json.dumps({"samples": [{"mu": 0.0, "pd": True}]}), encoding="utf-8")
+        return int(argv[0] == failing)
+    return main
+
+
+@pytest.mark.parametrize("failing,code", [(None, 0), ("form-crosscheck", 1)])
+def test_reproduce_reports_exits_with_the_worst_code(tmp_path, monkeypatch, failing, code):
+    run = runpy.run_path(str(REPRODUCE))["run"]
+    monkeypatch.setitem(run.__globals__, "main", stub_main(failing))
+    assert run(tmp_path / "run") == code
+    # as a script, the same code reaches sys.exit
+    monkeypatch.setattr(cli, "main", stub_main(failing))
+    monkeypatch.setattr(sys, "argv", [str(REPRODUCE), str(tmp_path / "script")])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(REPRODUCE), run_name="__main__")
+    assert exit_.value.code == code

@@ -32,12 +32,13 @@ def single_entry_gram(entry, level=(1, 1)):
 
 
 def test_specialize_examples():
-    sg = unitarity.specialize(single_entry_gram(MU, level=(1, 0)), 0, 2.0)
-    assert sg.matrix.shape == (1, 1)
-    assert abs(sg.matrix[0, 0] - 2.0) < 1e-12
+    (idx, stack), = unitarity.specialize(single_entry_gram(MU, level=(1, 0)), 0, 2.0)
+    assert idx.tolist() == [[0]] and stack.shape == (1, 1, 1)
+    assert abs(stack[0, 0, 0] - 2.0) < 1e-12
     quad = MU * MU + MU
-    assert abs(unitarity.specialize(single_entry_gram(quad), 0, 1.0).matrix[0, 0] - 2.0) < 1e-12
-    assert abs(unitarity.specialize(single_entry_gram(quad), 0, -0.5).matrix[0, 0] + 0.25) < 1e-12
+    assert abs(unitarity.specialize(single_entry_gram(quad), 0, 1.0)[0][1][0, 0, 0] - 2.0) < 1e-12
+    assert abs(unitarity.specialize(single_entry_gram(quad), 0, -0.5)[0][1][0, 0, 0]
+               + 0.25) < 1e-12
 
 
 def test_specialize_rejects_nonhermitian():
@@ -67,7 +68,8 @@ def two_block_gram(last_entry):
 def test_specialize_rejects_nonhermitian_second_block():
     with pytest.raises(ValueError):
         unitarity.specialize(two_block_gram(q_pow(1)), Fraction(1, 7), 1.0)  # should be 1
-    assert unitarity.specialize(two_block_gram(ONE), Fraction(1, 7), 1.0).herm_residual == 0.0
+    stacks = unitarity.evaluate(unitarity.compile_gram(two_block_gram(ONE)), Fraction(1, 7))
+    assert stacks.herm_residual == 0.0
 
 
 def test_specialize_memory_is_bounded_by_the_blocks():
@@ -94,22 +96,17 @@ def test_stack_indices_are_wide():
                    blocks=[([i], [[entry]]) for i in range(n)])
     (_, at, _, _), = unitarity.compile_gram(g).classes
     assert at.dtype == np.intp and at.max() >= 2 ** 16
-    (idx, stack), = unitarity.specialize(g, Fraction(1, 7), 2.0).blocks
+    (idx, stack), = unitarity.specialize(g, Fraction(1, 7), 2.0)
     assert idx.shape == (n, 1)
     assert np.all(stack == 18)
 
 
 def test_min_eigenvalue_examples():
-    sg = unitarity.SpecializedGram(Fraction(0), 0.0, 0.0,
-                                   ((np.array([[0]]), np.array([[[2.0 + 0j]]])),))
-    assert unitarity.min_eigenvalue(sg) == 2.0
-    sg = unitarity.SpecializedGram(
-        Fraction(0), 0.0, 0.0,
-        ((np.array([[0, 1]]), np.array([[[1.0 + 0j, 0], [0, -3.0 + 0j]]])),),
-    )
-    assert abs(unitarity.min_eigenvalue(sg) + 3.0) < 1e-12
-    empty = unitarity.SpecializedGram(Fraction(0), 0.0, 0.0, ())
-    assert unitarity.min_eigenvalue(empty) == float("inf")
+    blocks = ((np.array([[0]]), np.array([[[2.0 + 0j]]])),)
+    assert unitarity.min_eigenvalue(blocks) == 2.0
+    blocks = ((np.array([[0, 1]]), np.array([[[1.0 + 0j, 0], [0, -3.0 + 0j]]])),)
+    assert abs(unitarity.min_eigenvalue(blocks) + 3.0) < 1e-12
+    assert unitarity.min_eigenvalue(()) == float("inf")
 
 
 def test_mu_scan_level_one(engine):
@@ -172,34 +169,71 @@ def test_compiled_specialize_matches_evaluate(engine, level, window, constraint)
     for theta in THETAS:
         for mu in (-1.0, 0.0, 0.25, 5.0):
             want = dense_specialize(g, theta, mu)
-            sg = unitarity.specialize(g, theta, mu)
-            assert np.max(np.abs(sg.matrix - want)) < 1e-12
-            assert abs(unitarity.min_eigenvalue(sg) - np.linalg.eigvalsh(want)[0]) < 1e-9
+            blocks = unitarity.specialize(g, theta, mu)
+            # the blocks partition the basis, and the oracle is exactly 0 outside them
+            rows = np.concatenate([idx.reshape(-1) for idx, _ in blocks])
+            assert sorted(rows.tolist()) == list(range(len(g.basis)))
+            outside = np.ones(want.shape, dtype=bool)
+            for idx, stack in blocks:
+                for row, block in zip(idx, stack):
+                    assert np.max(np.abs(block - want[np.ix_(row, row)])) < 1e-12
+                    outside[np.ix_(row, row)] = False
+            assert np.all(want[outside] == 0)
+            assert abs(unitarity.min_eigenvalue(blocks) - np.linalg.eigvalsh(want)[0]) < 1e-9
 
 
 @pytest.mark.parametrize("level,window,constraint", GRAM_CASES)
 def test_mu_scan_evaluates_once_per_theta(engine, monkeypatch, level, window, constraint):
-    evaluate, thetas = unitarity.evaluate, []
+    compile_gram, evaluate, calls = unitarity.compile_gram, unitarity.evaluate, []
 
-    def counting(gram, theta):
-        thetas.append(theta)
-        return evaluate(gram, theta)
+    def counting_compile(gram):
+        calls.append("compile")
+        return compile_gram(gram)
+
+    def counting_evaluate(compiled, theta):
+        calls.append(theta)
+        return evaluate(compiled, theta)
 
     g = engine.gram(level, window=window, constraint=constraint)
     tol = unitarity.PD_TOLERANCE * len(g.basis)
     grid = [5.0, -1.0, 0.0, 0.25, 1.0]
     for theta in THETAS:
-        monkeypatch.setattr(unitarity, "evaluate", counting)
+        monkeypatch.setattr(unitarity, "compile_gram", counting_compile)
+        monkeypatch.setattr(unitarity, "evaluate", counting_evaluate)
         report = unitarity.mu_scan(engine, level, theta, grid, window=window,
                                    constraint=constraint)
+        monkeypatch.setattr(unitarity, "compile_gram", compile_gram)
         monkeypatch.setattr(unitarity, "evaluate", evaluate)
-        assert thetas == [theta]
-        thetas.clear()
+        assert calls == ["compile", theta]
+        calls.clear()
         assert [mu for mu, _, _ in report.samples] == sorted(grid)
         for mu, eig, pd in report.samples:
             want = unitarity.min_eigenvalue(unitarity.specialize(g, theta, mu))
             assert abs(eig - want) < 1e-12
             assert pd == (want > tol)
+
+
+@pytest.mark.parametrize("level", [(1, 1), (2, 0), (1, 2)])
+def test_conjugate_theta_keeps_the_spectrum(engine, level):
+    # integer coefficients: G(q^-1) = conj(G(q)), and 1 - theta takes q to q^-1
+    compiled = unitarity.compile_gram(engine.gram(level, window=1))
+    for theta in (Fraction(1, 3), Fraction(1, 7), Fraction(89, 233)):
+        stacks, conjugate = (unitarity.evaluate(compiled, t) for t in (theta, 1 - theta))
+        for mu in (0.25, 1.0, 5.0):
+            eig = unitarity.min_eigenvalue(unitarity.at_mu(stacks, mu))
+            assert abs(eig - unitarity.min_eigenvalue(unitarity.at_mu(conjugate, mu))) < 1e-9
+
+
+@pytest.mark.parametrize("level", [(1, 0), (1, 1), (2, 0), (0, 2)])
+def test_wider_window_never_raises_the_minimum(engine, level):
+    # each window-1 weight block is a principal submatrix of the same-weight
+    # window-2 block, so by Cauchy interlacing its smallest eigenvalue is no lower
+    narrow, wide = (unitarity.compile_gram(engine.gram(level, window=w)) for w in (1, 2))
+    for theta in (Fraction(1, 3), Fraction(1, 7), Fraction(1, 4), Fraction(89, 233)):
+        stacks = [unitarity.evaluate(c, theta) for c in (narrow, wide)]
+        for mu in (0.25, 1.0, 3.0, 5.0, 8.0):
+            w1, w2 = (unitarity.min_eigenvalue(unitarity.at_mu(s, mu)) for s in stacks)
+            assert w1 >= w2 - 1e-9
 
 
 def compiled_terms(c):
@@ -271,7 +305,7 @@ def test_diagonal_growth_matches_total_level(engine):
 
 def test_specialized_gram_hermiticity_residual(engine):
     g = engine.gram((1, 1), window=1)
-    sg = unitarity.specialize(g, Fraction(89, 233), 1.25)
-    assert sg.herm_residual < 1e-10
-    for _, stack in sg.blocks:
+    stacks = unitarity.evaluate(unitarity.compile_gram(g), Fraction(89, 233))
+    assert stacks.herm_residual < 1e-10
+    for _, stack in unitarity.at_mu(stacks, 1.25):
         assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))
