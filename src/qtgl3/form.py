@@ -28,18 +28,20 @@ keyed by the right word id, and the action one dict per operator id,
 keyed by word id.  So a memo lookup is one list index and one small-int
 dict lookup, and builds no tuple.  Only the public methods see `Word`s.
 
-The recursions also run on integer polynomials instead of `ScalarPoly`.
-Every value of the form is a polynomial in q^±1 and mu with integer
-coefficients, and the action brings in at most a factor 1/2, from the
-vacuum values above.  So the action is stored doubled (2 E11(1).1 = mu),
-which makes every action coefficient an integer polynomial, and a form
-value (u, v) is stored as 2^(k+l) (u, v) for u of level (k, l): peeling
-one factor off u multiplies by one doubled action coefficient.  The
-public methods divide the factor back out exactly, so their values do
-not depend on any integrality.  A `GramMatrix` holds the memo's own
-integer polynomials and builds `ScalarPoly` entries only on demand.  The
-combinatorial evaluator works on the words themselves, stays on
-`ScalarPoly`, and shares no table with the id path.
+The recursions also run on integer polynomials instead of `ScalarPoly`:
+term dicts with `ScalarPoly`'s own keys (see `scalars`) and integer
+coefficients.  Every value of the form is a polynomial in q^±1 and mu
+with integer coefficients, and the action brings in at most a factor
+1/2, from the vacuum values above.  So the action is stored doubled
+(2 E11(1).1 = mu), which makes every action coefficient an integer
+polynomial, and a form value (u, v) is stored as 2^(k+l) (u, v) for u of
+level (k, l): peeling one factor off u multiplies by one doubled action
+coefficient.  The public methods divide the factor back out exactly
+(`int_poly_scalar` rescales the coefficients and keeps the keys), so
+their values do not depend on any integrality.  A `GramMatrix` holds
+the memo's own integer polynomials and builds `ScalarPoly` entries only
+on demand.  The combinatorial evaluator works on the words themselves,
+stays on `ScalarPoly`, and shares no table with the id path.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from typing import NamedTuple
 
 from . import fock
 from .gl3 import matrix_bracket_terms
-from .scalars import ONE, ZERO, GaussianRational, ScalarPoly, accumulate
-from .torus import TorusElement
+from .scalars import MU_BITS, ONE, ZERO, GaussianRational, ScalarPoly, accumulate
 
 
 class Word(NamedTuple):
@@ -102,13 +103,10 @@ def combo_level(combo):
 
 
 # Integer polynomials, the value ring of the engine's recursions: a dict
-# {key: int} with key = (q_exp << _MU_BITS) + mu_deg, so multiplying two
-# monomials adds their keys (mu degrees stay far below 2^_MU_BITS).  No
-# zero coefficient is stored.  Memo values are shared between entries and
-# never mutated; every exact zero, and every empty action result, is the
-# one `_IZERO`.
-_MU_BITS = 20
-_MU_MASK = (1 << _MU_BITS) - 1
+# {key: int} on `ScalarPoly`'s term keys, so multiplying two monomials adds
+# their keys.  No zero coefficient is stored.  Memo values are shared
+# between entries and never mutated; every exact zero, and every empty
+# action result, is the one `_IZERO`.
 _IZERO = {}
 _IONE = {0: 1}
 _ITWO = {0: 2}
@@ -116,21 +114,11 @@ _IMU = {1: 1}
 _IMINUS_MU = {1: -1}
 
 
-def int_terms(poly):
-    """The ((q_exp, mu_deg), coefficient) pairs of an integer polynomial, in
-    its own term order; decoded here and, on arrays, in `int_key_arrays`."""
-    return [((k >> _MU_BITS, k & _MU_MASK), c) for k, c in poly.items()]
-
-
-def int_key_arrays(keys):
-    """`int_terms`' decoding on an integer array of packed keys: (q_exps, mu_degs)."""
-    return keys >> _MU_BITS, keys & _MU_MASK
-
-
 def int_poly_scalar(poly, denom):
-    """The ScalarPoly poly / denom of an integer polynomial."""
+    """The ScalarPoly poly / denom of an integer polynomial: its keys, in its
+    term order, with each coefficient divided by denom."""
     return ScalarPoly._raw({key: GaussianRational._make(c, 0, denom)
-                            for key, c in int_terms(poly)}) if poly else ZERO
+                            for key, c in poly.items()}) if poly else ZERO
 
 
 def _insert_sorted(args, a):
@@ -166,7 +154,7 @@ class WordEngine:
     for a leading E32 factor, and its lowering step
     `(op_id, rest_id, shift)`: the omega-image E_{2,side}(-m,-n) of the
     leading factor E_{side,2}(s^m t^n) as an operator id, and its q^(mn)
-    as the key shift (m*n) << _MU_BITS.  Every non-raising operator
+    as the key shift (m*n) << MU_BITS.  Every non-raising operator
     E_ij(mono) gets an operator id on first use.  The memos are lists of
     rows, one row per id:
 
@@ -177,12 +165,13 @@ class WordEngine:
 
     The raising operators E12 and E32 have no row: they only add a factor,
     through `_insert`.  Coefficients and form values in these tables are
-    integer polynomials (see `_MU_BITS`), doubled as the module docstring
-    explains; `act_mono` and `form_words` turn them into `ScalarPoly`s
-    through `int_poly_scalar`.  A `gram` keeps the form memo's values
-    themselves as its entries, which is why memo values are never mutated
-    once stored.  The combinatorial evaluator keeps its own tables,
-    `_comb_tables` (entry patterns and cycle lists per level) and
+    integer polynomials, doubled as the module docstring explains: they
+    share `ScalarPoly`'s term keys and differ only in their integer
+    coefficients, which `act_mono` and `form_words` rescale into
+    `ScalarPoly`s (`int_poly_scalar`).  A `gram` keeps the form memo's
+    values themselves as its entries, which is why memo values are never
+    mutated once stored.  The combinatorial evaluator keeps its own
+    tables, `_comb_tables` (entry patterns and cycle lists per level) and
     `_comb_weights` (word -> weight).  The public methods take and return
     `Word`s.  The tables grow for the life of the engine; use a fresh
     engine to bound them.
@@ -218,7 +207,7 @@ class WordEngine:
             self._peel.append((side, arg, rest))
             # omega(E12(s^m t^n)) = -q^(mn) E21(s^-m t^-n), same shape for E32/E23
             m, n = arg
-            self._lower.append((self._op(2, side, (-m, -n)), rest, (m * n) << _MU_BITS))
+            self._lower.append((self._op(2, side, (-m, -n)), rest, (m * n) << MU_BITS))
             self._form_rows.append({})
         return wid
 
@@ -283,7 +272,7 @@ class WordEngine:
             for (i2, j2, mono2, sign, e) in matrix_bracket_terms(
                 i, j, mono[0], mono[1], side, 2, garg[0], garg[1]
             ):
-                shift = e << _MU_BITS
+                shift = e << MU_BITS
                 for w, c in self._act_any(i2, j2, mono2, rest).items():
                     old = res.get(w)
                     if old is None:
@@ -306,20 +295,6 @@ class WordEngine:
         row[wid] = res
         return res
 
-    def act(self, i, j, arg, combo):
-        """E_ij(arg).combo for a torus-element argument and a word combination."""
-        if isinstance(arg, tuple):
-            arg = TorusElement.monomial(arg[0], arg[1])
-        out = {}
-        for word, wc in combo.items():
-            for mono, ac in arg.terms.items():
-                c0 = wc * ac
-                if not c0:
-                    continue
-                for w, c in self.act_mono(i, j, mono, word).items():
-                    accumulate(out, w, c0 * c)
-        return out
-
     def act_d(self, which, combo):
         """d_s (which=1) or d_t (which=2) action; words are weight eigenvectors."""
         out = {}
@@ -335,7 +310,10 @@ class WordEngine:
         for sym, c in x.terms.items():
             if sym[0] == "E":
                 _, i, j, m, n = sym
-                part = self.act(i, j, (m, n), combo)
+                part = {}
+                for word, wc in combo.items():
+                    for w, cc in self.act_mono(i, j, (m, n), word).items():
+                        accumulate(part, w, wc * cc)
             elif sym[0] == "ds":
                 part = self.act_d(1, combo)
             elif sym[0] == "dt":
@@ -473,7 +451,7 @@ class WordEngine:
                     for cnt in sizes.values():
                         for f in range(2, cnt + 1):
                             mult *= f
-                key = (phase, len(cycles))
+                key = (phase << MU_BITS) + len(cycles)
                 acc[key] = acc.get(key, 0) + mult
         # every count is positive: acc is the term dict of the result
         if not acc:
@@ -576,8 +554,8 @@ class GramMatrix:
     basis: list
     # (basis indices, square matrix over them), one per weight group in
     # first-appearance order; every entry outside them is ZERO.  An entry is
-    # an integer polynomial (see `_MU_BITS`) holding `scale` times the form
-    # value, shared with the form memo that computed it and with every entry
+    # an integer polynomial (ScalarPoly's keys, int coefficients) holding
+    # `scale` times the form value, shared with the form memo that computed it and with every entry
     # of the same translation orbit (see `WordEngine.gram`), never mutated
     blocks: list = field(repr=False)
     # basis index -> block position, built on first use by `entry` and `rows`

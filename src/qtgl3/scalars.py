@@ -10,6 +10,11 @@ integer (mu is a formal real parameter).  All operations are exact; the
 only approximate operation is `evaluate`, which substitutes a numeric
 unit-circle q (`q_phase`) and a real mu.
 
+The term q^e mu^d has one key in the whole package, the int
+(e << MU_BITS) + d with 0 <= d < 2^MU_BITS, so a product of terms adds
+keys.  `ScalarPoly`, the word engine's integer polynomials (`form`) and
+compiled Gram arrays (`unitarity`) all use it; `unpack_key` decodes it.
+
 `SparseSum` is the term algebra of all four sparse sums in the package:
 these q/mu polynomials (`ScalarPoly`, Gaussian-rational coefficients) and,
 with `ScalarPoly` coefficients, torus elements, Lie-algebra elements and
@@ -120,6 +125,15 @@ class GaussianRational:
 
 
 G_ONE = GaussianRational(1)
+
+# Term keys (see the module docstring); mu degrees stay far below 2^MU_BITS.
+MU_BITS = 20
+MU_MASK = (1 << MU_BITS) - 1
+
+
+def unpack_key(k):
+    """(q_exp, mu_deg) of a packed key, or of a numpy int array of them."""
+    return k >> MU_BITS, k & MU_MASK
 
 
 def accumulate(out, key, coeff):
@@ -240,10 +254,10 @@ def q_phase(theta, e):
 class ScalarPoly(SparseSum):
     """Laurent polynomial in q, polynomial in mu, Gaussian-rational coefficients.
 
-    The `SparseSum` with (q_exponent, mu_degree) keys and `GaussianRational`
-    coefficients.  It adds the ring product, conjugation (q -> q^-1) and
-    numeric evaluation; `zero()` and `one()` return the shared `ZERO` and
-    `ONE`.
+    The `SparseSum` with (q_exponent, mu_degree) term keys (see the module
+    docstring) and `GaussianRational` coefficients.  It adds the ring
+    product, conjugation (q -> q^-1) and numeric evaluation; `zero()` and
+    `one()` return the shared `ZERO` and `ONE`.
     """
 
     __slots__ = ()
@@ -265,22 +279,22 @@ class ScalarPoly(SparseSum):
     @classmethod
     def gaussian(cls, re, im=0):
         c = GaussianRational(re, im)
-        return cls._raw({(0, 0): c} if c else {})
+        return cls._raw({0: c} if c else {})
 
     @classmethod
     def q_power(cls, e):
-        return cls._raw({(e, 0): G_ONE})
+        return cls._raw({e << MU_BITS: G_ONE})
 
     @classmethod
     def mu_power(cls, d):
-        if d < 0:
-            raise ValueError("mu degree must be nonnegative")
-        return cls._raw({(0, d): G_ONE})
+        return cls.term(G_ONE, mu_deg=d)
 
     @classmethod
     def term(cls, coeff, q_exp=0, mu_deg=0):
+        if not 0 <= mu_deg <= MU_MASK:
+            raise ValueError(f"mu degree {mu_deg} is outside [0, 2^{MU_BITS})")
         c = coeff if isinstance(coeff, GaussianRational) else GaussianRational(coeff)
-        return cls._raw({(q_exp, mu_deg): c} if c else {})
+        return cls._raw({(q_exp << MU_BITS) + mu_deg: c} if c else {})
 
     # -- ring operations ----------------------------------------------
 
@@ -292,8 +306,8 @@ class ScalarPoly(SparseSum):
     # - a unit operand returns the other operand, and -1 its negation, which
     #   instances being immutable allows.  The shared `ONE` is caught by
     #   identity, any other +-1 when it is an int or the shorter operand;
-    # - a one-term operand c*q^e*mu^d shifts the other operand's keys by
-    #   (e, d) and multiplies its coefficients by c in one comprehension.
+    # - a one-term operand c*q^e*mu^d adds its key to the other operand's
+    #   keys and multiplies its coefficients by c in one comprehension.
     #   The shift is injective and Gaussian rationals have no zero divisors,
     #   so no two products share a key and none is zero: the general loop's
     #   accumulate and zero check could do nothing.
@@ -322,21 +336,19 @@ class ScalarPoly(SparseSum):
         x, y = (other, self) if len(self.terms) > len(other.terms) else (self, other)
         a, b = x.terms, y.terms
         if len(a) == 1:
-            ((e1, d1), c1), = a.items()
-            if not (e1 or d1 or c1.b) and c1.d == 1:
+            (k1, c1), = a.items()
+            if not (k1 or c1.b) and c1.d == 1:
                 if c1.a == 1:
                     return y
                 if c1.a == -1:
                     return -y
-            return ScalarPoly._raw(
-                {(e1 + e2, d1 + d2): c1 * c2 for (e2, d2), c2 in b.items()}
-            )
+            return ScalarPoly._raw({k1 + k2: c1 * c2 for k2, c2 in b.items()})
         if not a:
             return ZERO
         out = {}
-        for (e1, d1), c1 in a.items():
-            for (e2, d2), c2 in b.items():
-                k = (e1 + e2, d1 + d2)
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
                 c = c1 * c2
                 s = out.get(k)
                 if s is None:
@@ -353,8 +365,9 @@ class ScalarPoly(SparseSum):
 
     def conjugate(self):
         """Complex conjugation with q on the unit circle: q -> q^-1, mu fixed."""
+        # the key (e << MU_BITS) + d of q^e mu^d goes to (-e << MU_BITS) + d = 2d - key
         return ScalarPoly._raw(
-            {(-e, d): c.conjugate() for (e, d), c in self.terms.items()}
+            {2 * (k & MU_MASK) - k: c.conjugate() for k, c in self.terms.items()}
         )
 
     # -- queries --------------------------------------------------------
@@ -362,20 +375,21 @@ class ScalarPoly(SparseSum):
     def mu_degree(self):
         if not self.terms:
             raise ValueError("mu_degree of the zero polynomial")
-        return max(d for (_, d) in self.terms)
+        return max(k & MU_MASK for k in self.terms)
 
     def leading_mu_part(self):
         """Laurent-in-q coefficient of the highest mu power."""
         top = self.mu_degree()
         return ScalarPoly._raw(
-            {(e, 0): c for (e, d), c in self.terms.items() if d == top}
+            {k - top: c for k, c in self.terms.items() if k & MU_MASK == top}
         )
 
     def evaluate(self, theta, mu):
         """Substitute q = exp(2*pi*i*theta) (theta rational) and a real mu."""
         theta = Fraction(theta)
         out = 0j
-        for (e, d), c in self.terms.items():
+        for k, c in self.terms.items():
+            e, d = unpack_key(k)
             out += c.to_complex() * q_phase(theta, e) * (float(mu) ** d)
         return out
 
@@ -384,14 +398,15 @@ class ScalarPoly(SparseSum):
     def __str__(self):
         if not self.terms:
             return "0"
-        keys = sorted(self.terms, key=lambda k: (-k[1], k[0]))
-        return " + ".join(f"{self.terms[k]}·q^{k[0]}·μ^{k[1]}" for k in keys)
+        # mu degree descending, then q exponent ascending (as keys of one mu degree sort)
+        keys = sorted(self.terms, key=lambda k: (-(k & MU_MASK), k))
+        return " + ".join("{}·q^{}·μ^{}".format(self.terms[k], *unpack_key(k)) for k in keys)
 
 
 ZERO = ScalarPoly._raw({})
-ONE = ScalarPoly._raw({(0, 0): G_ONE})
-MU = ScalarPoly._raw({(0, 1): G_ONE})
-HALF_MU = ScalarPoly._raw({(0, 1): GaussianRational(Fraction(1, 2))})
+ONE = ScalarPoly._raw({0: G_ONE})
+MU = ScalarPoly._raw({1: G_ONE})
+HALF_MU = ScalarPoly._raw({1: GaussianRational(Fraction(1, 2))})
 
 
 def q_pow(e):

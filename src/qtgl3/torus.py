@@ -1,17 +1,14 @@
 """The rank-2 quantum torus: Laurent monomials in s, t with ts = q*st.
 
-Elements are kept in the normal form  sum_(m,n) lambda_(m,n) * s^m t^n
-(all s powers before all t powers); the reordering phases are absorbed
-into the ScalarPoly coefficients, so equality is decidable by dict
-comparison.
+A monomial s^m t^n is the exponent pair (m, n).  Elements are kept in the
+normal form  sum_(m,n) lambda_(m,n) * s^m t^n  (all s powers before all
+t powers); the reordering phases are absorbed into the ScalarPoly
+coefficients, so equality is decidable by dict comparison.
 """
 
 from __future__ import annotations
 
 from .scalars import ONE, ScalarPoly, SparseSum, accumulate, q_pow
-
-# A torus monomial s^m t^n is the exponent pair (m, n).
-Mono = tuple
 
 
 def mono_mul(x, y):

@@ -19,8 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .form import int_key_arrays
-from .scalars import q_phase
+from .scalars import q_phase, unpack_key
 
 HERMITICITY_ERROR = 1e-8
 PD_TOLERANCE = 1e-9  # scaled by matrix dimension
@@ -65,7 +64,7 @@ def compile_gram(gram):
         keys = np.fromiter(chain.from_iterable(entries), dtype=np.intp, count=lengths.sum())
         coeff = np.fromiter((c / scale for c in chain.from_iterable(map(dict.values, entries))),
                             dtype=float, count=keys.size)
-        e, d = int_key_arrays(keys)
+        e, d = unpack_key(keys)
         q_range += [e.min(), e.max()]
         degrees = max(degrees, d.max() + 1)
         at = d * len(entries) + np.repeat(np.arange(len(entries), dtype=np.intp), lengths)

@@ -17,6 +17,7 @@ from qtgl3.form import (
     combo_level,
     enumerate_words,
     exact_rank,
+    int_poly_scalar,
     make_word,
     shift_word,
     word_level,
@@ -26,7 +27,7 @@ from qtgl3.form import (
     words_to_polys_rank,
 )
 from qtgl3.gl3 import GlElement, omega
-from qtgl3.scalars import MU, ONE, ScalarPoly, q_pow
+from qtgl3.scalars import MU, MU_BITS, ONE, GaussianRational, ScalarPoly, q_pow
 from qtgl3.verify import rand_config
 
 ZERO = ScalarPoly.zero()
@@ -533,6 +534,19 @@ def test_form_memo_holds_integer_polynomials():
     for words in actions:
         for coeff in words.values():
             assert all(type(c) is int for c in coeff.values())
+
+
+def test_int_poly_scalar_keeps_keys_and_order():
+    # the engine's integer polynomials carry ScalarPoly's keys: only coefficients change
+    g = WordEngine().gram((2, 1), window=1)
+    polys = [x for _, rows in g.blocks for row in rows for x in row if len(x) > 2][:40]
+    polys.append({(2 << MU_BITS) + 1: 3, -1 << MU_BITS: -4, 0: 7})
+    for x in polys:
+        for denom in (1, g.scale):
+            p = int_poly_scalar(x, denom)
+            assert list(p.terms) == list(x)
+            assert list(p.terms.values()) == [GaussianRational(Fraction(c, denom))
+                                              for c in x.values()]
 
 
 def test_vacuum_half_mu_mixes_denominators():

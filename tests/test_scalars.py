@@ -1,18 +1,27 @@
+import cmath
 import math
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
 from qtgl3.fock import FockPoly
 from qtgl3.gl3 import CS, CT, DS, DT, GlElement
-from qtgl3.scalars import G_ONE, MU, ONE, ZERO, GaussianRational, ScalarPoly, q_pow
+from qtgl3.scalars import (
+    G_ONE, MU, MU_BITS, ONE, ZERO, GaussianRational, ScalarPoly, q_pow, unpack_key,
+)
 from qtgl3.torus import TorusElement
 
 Q = q_pow(1)
 QINV = q_pow(-1)
 I = ScalarPoly.gaussian(0, 1)
+
+
+def packed_keys(q_exps, mu_degs):
+    """Term keys (e << MU_BITS) + d, packed here by hand."""
+    return st.builds(lambda e, d: (e << MU_BITS) + d, q_exps, mu_degs)
 
 
 def rational(rng=3, dens=(1, 2, 3)):
@@ -68,12 +77,44 @@ def test_evaluate_examples():
     assert abs((MU * MU + MU).evaluate(Fraction(1, 3), 2) - 6) < 1e-12
 
 
+def test_term_rejects_mu_degrees_outside_the_key():
+    # a mu degree outside [0, 2^MU_BITS) would alias another term's key
+    for bad in (lambda: ScalarPoly.term(1, q_exp=2, mu_deg=-1),
+                lambda: ScalarPoly.term(1, mu_deg=1 << MU_BITS),
+                lambda: ScalarPoly.mu_power(1 << MU_BITS),
+                lambda: ScalarPoly.mu_power(-1)):
+        with pytest.raises(ValueError):
+            bad()
+    assert ScalarPoly.term(1, mu_deg=(1 << MU_BITS) - 1).mu_degree() == (1 << MU_BITS) - 1
+
+
+@given(st.integers(-5, 5), st.integers(0, 3),
+       st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3)).filter(bool))
+@example(-3, 2, G_ONE)
+@settings(max_examples=80, deadline=None)
+def test_term_key_round_trips(e, d, c):
+    p = ScalarPoly.term(c, q_exp=e, mu_deg=d)
+    (key, got), = p.terms.items()
+    assert unpack_key(key) == (e, d) and got == c
+    q_exps, mu_degs = unpack_key(np.array([key, key], dtype=np.intp))
+    assert q_exps.tolist() == [e, e] and mu_degs.tolist() == [d, d]
+    (key, got), = p.conjugate().terms.items()
+    assert unpack_key(key) == (-e, d) and got == c.conjugate()
+    assert p.mu_degree() == d
+    assert p.leading_mu_part() == ScalarPoly.term(c, q_exp=e)
+    assert str(p) == f"{c}·q^{e}·μ^{d}"
+    theta, mu = Fraction(2, 7), 1.3
+    want = c.to_complex() * cmath.exp(2j * math.pi * float(theta) * e) * mu ** d
+    assert abs(p.evaluate(theta, mu) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_rendering_canonical_order():
     p = ScalarPoly.q_power(2) + MU + ScalarPoly.q_power(-1)
     # mu-degree descending, then q-exponent ascending
     assert str(p) == "(1+0i)·q^0·μ^1 + (1+0i)·q^-1·μ^0 + (1+0i)·q^2·μ^0"
     assert str(ZERO) == "0"
     assert str(ScalarPoly.gaussian(Fraction(-3, 2), Fraction(1, 2))) == "(-3/2+1/2i)·q^0·μ^0"
+    assert str(ScalarPoly.term(1, q_exp=-3, mu_deg=2)) == "(1+0i)·q^-3·μ^2"
 
 
 @given(scalar_polys, scalar_polys, scalar_polys)
@@ -152,7 +193,7 @@ def _general_neg(a):
 
 # built from a term dict, not by adding terms, so these never pass through __add__
 term_dict_polys = st.dictionaries(
-    st.tuples(st.integers(-3, 3), st.integers(0, 2)),
+    packed_keys(st.integers(-3, 3), st.integers(0, 2)),
     st.builds(GaussianRational, rational(), rational()),
     max_size=4,
 ).map(ScalarPoly)
@@ -173,11 +214,14 @@ def test_zero_operand_fast_paths_match_general_path(a, b):
 
 
 def _naive_mul(a, b):
-    """a * b by a plain dict convolution over Fractions, sharing no code with __mul__."""
+    """a * b by a plain dict convolution over Fractions, sharing no code with
+    __mul__: it decodes each key, adds the exponents and packs them again."""
     out = {}
-    for (e1, d1), c1 in a.terms.items():
-        for (e2, d2), c2 in b.terms.items():
-            k = (e1 + e2, d1 + d2)
+    for k1, c1 in a.terms.items():
+        e1, d1 = unpack_key(k1)
+        for k2, c2 in b.terms.items():
+            e2, d2 = unpack_key(k2)
+            k = ((e1 + e2) << MU_BITS) + d1 + d2
             re, im = out.get(k, (0, 0))
             out[k] = (re + c1.re * c2.re - c1.im * c2.im, im + c1.re * c2.im + c1.im * c2.re)
     return ScalarPoly({k: GaussianRational(re, im) for k, (re, im) in out.items()})
@@ -192,19 +236,19 @@ one_term_polys = st.builds(
 # the operands the fast paths take: units (shared, equal-but-distinct, -1),
 # zero, one-term polynomials and ints
 fast_path_polys = st.one_of(
-    st.sampled_from([ONE, ScalarPoly({(0, 0): GaussianRational(1)}),
+    st.sampled_from([ONE, ScalarPoly({0: GaussianRational(1)}),
                      ScalarPoly.from_rational(-1), ZERO]),
     one_term_polys,
 )
 fast_path_operands = st.one_of(fast_path_polys, st.sampled_from([0, 1, -1, 3, -2]))
 multi_term_polys = st.dictionaries(
-    st.tuples(st.integers(-3, 3), st.integers(0, 2)), nonzero_gaussians, min_size=2, max_size=4,
+    packed_keys(st.integers(-3, 3), st.integers(0, 2)), nonzero_gaussians, min_size=2, max_size=4,
 ).map(ScalarPoly)
 
 
 @given(fast_path_operands, st.one_of(multi_term_polys, fast_path_polys))
-@example(ONE, ScalarPoly({(0, 0): G_ONE, (1, 0): G_ONE}))
-@example(-1, ScalarPoly({(0, 0): G_ONE, (1, 0): G_ONE}))
+@example(ONE, ScalarPoly({0: G_ONE, 1 << MU_BITS: G_ONE}))
+@example(-1, ScalarPoly({0: G_ONE, 1 << MU_BITS: G_ONE}))
 @settings(max_examples=150, deadline=None)
 def test_multiplication_fast_paths_match_naive_convolution(x, p):
     as_poly = ScalarPoly.from_rational(x) if isinstance(x, int) else x
@@ -235,7 +279,7 @@ small_coeffs = st.builds(
 )
 small_gaussians = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-1, 1))
 SPARSE_KEYS = {
-    ScalarPoly: st.tuples(st.integers(-1, 1), st.integers(0, 2)),
+    ScalarPoly: packed_keys(st.integers(-1, 1), st.integers(0, 2)),
     TorusElement: st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
     GlElement: st.one_of(
         st.tuples(st.just("E"), st.integers(1, 3), st.integers(1, 3),
@@ -307,15 +351,18 @@ def test_sparse_sum_zero_operands(case):
 
 
 def test_sparse_sums_of_different_kinds_never_compare_equal():
+    # one key for every kind, so only the kinds differ: q·μ for ScalarPoly,
+    # and the other kinds take any hashable key here
+    key = (1 << MU_BITS) + 1
     for a in SPARSE_KEYS:
         one_a = coefficient_ring(a)[2]
-        assert a({(1, 1): one_a}) == a({(1, 1): one_a})
+        assert a({key: one_a}) == a({key: one_a})
         for b in SPARSE_KEYS:
             if a is not b:
                 one_b = coefficient_ring(b)[2]
                 assert a.zero() != b.zero()
-                assert a({(1, 1): one_a}) != b({(1, 1): one_b})
+                assert a({key: one_a}) != b({key: one_b})
                 with pytest.raises(TypeError):
-                    a({(1, 1): one_a}) + b({(1, 1): one_b})
+                    a({key: one_a}) + b({key: one_b})
                 with pytest.raises(TypeError):
-                    a({(1, 1): one_a}) - b({(1, 1): one_b})
+                    a({key: one_a}) - b({key: one_b})

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from qtgl3 import unitarity
-from qtgl3.form import _MU_BITS, GramMatrix, enumerate_words, int_terms, make_word
-from qtgl3.scalars import MU, ONE, ZERO, ScalarPoly, q_pow
+from qtgl3.form import GramMatrix, enumerate_words, make_word
+from qtgl3.scalars import MU, MU_BITS, ONE, ZERO, ScalarPoly, q_pow, unpack_key
 
 
 def hand_gram(basis, blocks, level=(1, 0)):
     """A GramMatrix from blocks of integer-coefficient ScalarPolys, each entry
-    packed as `WordEngine.gram` stores it: an integer polynomial times 2^(k+l)."""
+    stored as `WordEngine.gram` stores it: an integer polynomial times 2^(k+l),
+    on the ScalarPoly's own keys."""
     def pack(x):
         out = {}
-        for (e, d), c in x.terms.items():
+        for k, c in x.terms.items():
             assert c.b == 0 and c.d == 1, "integer coefficients only"
-            out[(e << _MU_BITS) + d] = c.a << sum(level)
+            out[k] = c.a << sum(level)
         return out
 
     return GramMatrix(level=level, window=0, constraint=None, basis=basis,
@@ -250,7 +251,7 @@ def compiled_terms(c):
 
 
 def oracle_terms(gram):
-    """The same, term by term from `int_terms` (blocks grouped by size in
+    """The same, term by term from `unpack_key` (blocks grouped by size in
     first-appearance order, entries row-major within each size class), and
     the basis indices of each class's blocks."""
     by_size = {}
@@ -259,8 +260,8 @@ def oracle_terms(gram):
     out = []
     for k, blocks in enumerate(by_size.values()):
         entries = [entry for _, rows in blocks for row in rows for entry in row]
-        out += [(k, at, e, d, c / gram.scale)
-                for at, entry in enumerate(entries) for (e, d), c in int_terms(entry)]
+        out += [(k, at, *unpack_key(key), c / gram.scale)
+                for at, entry in enumerate(entries) for key, c in entry.items()]
     return out, [[idx for idx, _ in blocks] for blocks in by_size.values()]
 
 
@@ -269,7 +270,7 @@ def test_compile_gram_matches_term_oracle(engine):
     # 1,897 block entries, one shared entry object per translation orbit
     assert len({id(entry) for _, rows in g.blocks for row in rows for entry in row}) == 433
     big = GramMatrix(level=(1, 0), window=0, constraint=None, basis=[make_word([(0, 0)], [])],
-                     blocks=[([0], [[{(-3 << _MU_BITS) + 1: 3 * 2 ** 70}]])])
+                     blocks=[([0], [[{(-3 << MU_BITS) + 1: 3 * 2 ** 70}]])])
     for gram in (g, big):
         c = unitarity.compile_gram(gram)
         terms, indices = oracle_terms(gram)
