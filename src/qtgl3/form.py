@@ -92,16 +92,6 @@ def shift_word(a, b, w):
     )
 
 
-def combo_level(combo):
-    """Common level of a nonzero combination; mixed levels are a caller bug."""
-    levels = {word_level(w) for w in combo}
-    if not levels:
-        raise ValueError("level of the zero combination")
-    if len(levels) > 1:
-        raise ValueError(f"mixed levels {sorted(levels)}")
-    return levels.pop()
-
-
 # Integer polynomials, the value ring of the engine's recursions: a dict
 # {key: int} on `ScalarPoly`'s term keys, so multiplying two monomials adds
 # their keys.  No zero coefficient is stored.  Memo values are shared
@@ -274,18 +264,9 @@ class WordEngine:
             ):
                 shift = e << MU_BITS
                 for w, c in self._act_any(i2, j2, mono2, rest).items():
-                    old = res.get(w)
-                    if old is None:
-                        res[w] = {k + shift: sign * x for k, x in c.items()}
-                        continue
-                    new = dict(old)  # `old` may be shared with another memo entry
+                    new = dict(res.get(w, _IZERO))  # memo values are shared: never mutate one
                     for k, x in c.items():
-                        k += shift
-                        x = new.get(k, 0) + sign * x
-                        if x:
-                            new[k] = x
-                        else:
-                            del new[k]
+                        accumulate(new, k + shift, sign * x)
                     if new:
                         res[w] = new
                     else:
@@ -351,6 +332,7 @@ class WordEngine:
             # carries one factor 2 of 2^(k+l)
             op, rest, shift = self._lower[uid]
             sub_get = self._form_rows[rest].get
+            # sum, then filter: a mid-sum drop could reorder terms, and compile_gram sums in order
             total = {}
             get = total.get
             for w, c in self._act(op, vid).items():

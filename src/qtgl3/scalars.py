@@ -18,14 +18,18 @@ compiled Gram arrays (`unitarity`) all use it; `unpack_key` decodes it.
 `SparseSum` is the term algebra of all four sparse sums in the package:
 these q/mu polynomials (`ScalarPoly`, Gaussian-rational coefficients) and,
 with `ScalarPoly` coefficients, torus elements, Lie-algebra elements and
-module polynomials.  Its add/sub/neg are the package's only ones;
-`accumulate` is the same "add, drop an exact zero" step for code that
-builds a term dict in place.
+module polynomials.  Its add/sub/neg are the package's only ones, and
+subtraction is addition of the negation.  Every "add, drop an exact zero"
+step in the package is `accumulate`: the sums, the scalar product, the word
+engine's action and the code that builds a term dict in place all call it.
+The one exception is the engine's form recursion, which sums first and
+drops zeros after, to keep its term order (see `WordEngine._form`).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 from math import gcd
@@ -151,7 +155,10 @@ class SparseSum:
 
     `terms` never stores a zero coefficient, so equality is dict equality,
     and instances are treated as immutable: no method mutates `terms`.
-    Sums of different kinds neither add nor compare equal.  Subclasses add
+    A sum adds the other operand's terms to a copy with `accumulate`, so
+    its terms are the left operand's survivors in their order, then the
+    right operand's new keys in theirs; x - y is x + (-y).  Sums of
+    different kinds neither add nor compare equal.  Subclasses add
     their own constructors, products and rendering.
     """
 
@@ -170,9 +177,6 @@ class SparseSum:
     def zero(cls):
         return cls._raw({})
 
-    # ScalarPoly's sums, the most frequent ones, run here too, so the loops
-    # are written out rather than calling `accumulate` per term.
-
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -183,36 +187,13 @@ class SparseSum:
             return other
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            s = terms.get(k)
-            if s is None:
-                terms[k] = c
-            else:
-                s = s + c
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
+            accumulate(terms, k, c)
         return self._raw(terms) if terms else self.zero()
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return -other
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            if s is None:
-                terms[k] = -c
-            else:
-                s = s - c
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
-        return self._raw(terms) if terms else self.zero()
+        return self + -other
 
     def __neg__(self):
         if not self.terms:
@@ -254,10 +235,10 @@ def q_phase(theta, e):
 class ScalarPoly(SparseSum):
     """Laurent polynomial in q, polynomial in mu, Gaussian-rational coefficients.
 
-    The `SparseSum` with (q_exponent, mu_degree) term keys (see the module
-    docstring) and `GaussianRational` coefficients.  It adds the ring
-    product, conjugation (q -> q^-1) and numeric evaluation; `zero()` and
-    `one()` return the shared `ZERO` and `ONE`.
+    The `SparseSum` with the packed-int term keys of the module docstring
+    and `GaussianRational` coefficients.  It adds the ring product,
+    conjugation (q -> q^-1) and numeric evaluation; `zero()` and `one()`
+    return the shared `ZERO` and `ONE`.
     """
 
     __slots__ = ()
@@ -348,17 +329,7 @@ class ScalarPoly(SparseSum):
         out = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
-                k = k1 + k2
-                c = c1 * c2
-                s = out.get(k)
-                if s is None:
-                    out[k] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+                accumulate(out, k1 + k2, c1 * c2)
         return ScalarPoly._raw(out)
 
     __rmul__ = __mul__
@@ -409,26 +380,13 @@ MU = ScalarPoly._raw({1: G_ONE})
 HALF_MU = ScalarPoly._raw({1: GaussianRational(Fraction(1, 2))})
 
 
+@functools.cache
 def q_pow(e):
-    """q^e as a ScalarPoly (cached for small exponents)."""
-    p = _Q_CACHE.get(e)
-    if p is None:
-        p = ScalarPoly.q_power(e)
-        _Q_CACHE[e] = p
-    return p
+    """q^e as a ScalarPoly, one shared instance per exponent; q^0 is `ONE`."""
+    return ScalarPoly.q_power(e) if e else ONE
 
 
-_Q_CACHE = {0: ONE}
-
-
+@functools.cache
 def signed_q_pow(sign, e):
-    """sign * q^e for a sign of +1 or -1, cached like `q_pow`."""
-    if sign > 0:
-        return q_pow(e)
-    p = _MINUS_Q_CACHE.get(e)
-    if p is None:
-        p = _MINUS_Q_CACHE[e] = -q_pow(e)
-    return p
-
-
-_MINUS_Q_CACHE = {}
+    """sign * q^e for a sign of +1 or -1, shared like `q_pow`."""
+    return q_pow(e) if sign > 0 else -q_pow(e)

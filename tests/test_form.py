@@ -14,7 +14,6 @@ from qtgl3.form import (
     VACUUM,
     Word,
     WordEngine,
-    combo_level,
     enumerate_words,
     exact_rank,
     int_poly_scalar,
@@ -38,6 +37,16 @@ W_11 = make_word([(0, 0)], [(0, 0)])
 
 def combo(*pairs):
     return {w: c for w, c in pairs}
+
+
+def combo_level(words):
+    """Common level of a nonzero combination; mixed levels are a caller bug."""
+    levels = {word_level(w) for w in words}
+    if not levels:
+        raise ValueError("level of the zero combination")
+    if len(levels) > 1:
+        raise ValueError(f"mixed levels {sorted(levels)}")
+    return levels.pop()
 
 
 # -- rewriting engine --------------------------------------------------
@@ -521,6 +530,23 @@ def _action_transcript():
 def test_act_mono_outputs_are_pinned():
     digest = hashlib.sha256(_action_transcript().encode()).hexdigest()
     assert digest == PINNED_ACTION_DIGEST
+
+
+# SHA-256 of the term items of every Gram block entry, in block order and in
+# each entry's own term order: `unitarity.compile_gram` sums floats in that
+# order, so moving a term changes the scan's bytes.
+PINNED_GRAM_TERM_ORDER = {
+    ((2, 0), 2): "c8135f3cd5ba205e970a38fc8adfcc34c23e08a8159f78204aeb6487bde1a4cb",
+    ((2, 1), 1): "36be8d9e7b0741b44d370f21c7ef24c529d2534ee4233929a9a72b95186fc3eb",
+}
+
+
+@pytest.mark.parametrize("level, window", list(PINNED_GRAM_TERM_ORDER))
+def test_gram_entry_term_order_is_pinned(level, window):
+    g = WordEngine().gram(level, window=window)
+    items = [list(e.items()) for _, block in g.blocks for row in block for e in row]
+    digest = hashlib.sha256(repr(items).encode()).hexdigest()
+    assert digest == PINNED_GRAM_TERM_ORDER[(level, window)]
 
 
 def test_form_memo_holds_integer_polynomials():

@@ -10,7 +10,8 @@ import pytest
 from qtgl3.fock import FockPoly
 from qtgl3.gl3 import CS, CT, DS, DT, GlElement
 from qtgl3.scalars import (
-    G_ONE, MU, MU_BITS, ONE, ZERO, GaussianRational, ScalarPoly, q_pow, unpack_key,
+    G_ONE, MU, MU_BITS, ONE, ZERO, GaussianRational, ScalarPoly, q_pow, signed_q_pow,
+    unpack_key,
 )
 from qtgl3.torus import TorusElement
 
@@ -262,6 +263,15 @@ def test_multiplication_fast_paths_match_naive_convolution(x, p):
         assert x * p is p and p * x is p
 
 
+def test_q_powers_are_shared_instances():
+    # ScalarPoly.__mul__, SparseSum.scale and fock recognise q^0 by identity with ONE
+    assert q_pow(0) is ONE and signed_q_pow(1, 0) is ONE
+    assert q_pow(3) is q_pow(3) and q_pow(3) == ScalarPoly.q_power(3)
+    assert signed_q_pow(1, -4) is q_pow(-4)
+    assert signed_q_pow(-1, 2) == -q_pow(2)
+    assert signed_q_pow(-1, 2) is signed_q_pow(-1, 2)
+
+
 def test_scale_by_one_returns_the_sum_itself():
     x = GlElement.matrix(1, 2, (1, 0), coeff=Q + MU) + GlElement.d_s()
     assert x.scale(ONE) is x
@@ -301,9 +311,12 @@ def coefficient_ring(cls):
 
 
 @st.composite
-def sparse_pairs(draw):
-    """(class, x, y, c): y negates a random subset of x's terms, so x + y cancels."""
-    cls = draw(st.sampled_from(list(SPARSE_KEYS)))
+def sparse_pairs(draw, cls=None):
+    """(class, x, y, c): y negates a random subset of x's terms, so x + y cancels.
+
+    The class is drawn from all four kinds unless one is given."""
+    if cls is None:
+        cls = draw(st.sampled_from(list(SPARSE_KEYS)))
     coeffs = coefficient_ring(cls)[0]
     terms = st.dictionaries(SPARSE_KEYS[cls], coeffs, max_size=4)
     x = cls(draw(terms))
@@ -348,6 +361,26 @@ def test_sparse_sum_zero_operands(case):
     assert zero - x == -x
     assert -(x - x) == zero and type(-(x - x)) is cls
     assert -zero == zero and type(-zero) is cls
+
+
+def _reference_key_order(x, y, subtract):
+    """Keys of x + y (or x - y): x's keys whose coefficient survives, in x's
+    order, then y's keys that x lacks, in y's order."""
+    cancel = {k for k, c in x.terms.items()
+              if k in y.terms and y.terms[k] == (c if subtract else -c)}
+    return ([k for k in x.terms if k not in cancel]
+            + [k for k in y.terms if k not in x.terms])
+
+
+@pytest.mark.parametrize("cls", list(SPARSE_KEYS), ids=lambda c: c.__name__)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_sum_term_order(cls, data):
+    # ScalarPoly.evaluate sums its floats in term order, so the order is output
+    _, x, y, _ = data.draw(sparse_pairs(cls))
+    for a, b in ((x, y), (y, x), (x, -y)):
+        assert list((a + b).terms) == _reference_key_order(a, b, False)
+        assert list((a - b).terms) == _reference_key_order(a, b, True)
 
 
 def test_sparse_sums_of_different_kinds_never_compare_equal():

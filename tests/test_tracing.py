@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracing  # noqa: E402
-from qtgl3.scalars import ONE, ScalarPoly, SparseSum  # noqa: E402
+from qtgl3.scalars import ONE, ScalarPoly, SparseSum, q_pow  # noqa: E402
 from qtgl3.torus import TorusElement  # noqa: E402
 
 
@@ -33,3 +33,16 @@ def test_tracer_installs_and_uninstalls_cleanly():
     for owner, attr, original in patches:
         assert owner.__dict__[attr] is original, attr
     assert ScalarPoly.__dict__["__add__"] is SparseSum.__add__
+
+
+def test_tracer_counts_a_scalar_subtraction_as_one_addition():
+    # a difference is the sum with the negation, so `scalars.add` sees every scalar sum
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        before = tracer.leaves["scalars.add"].calls
+        diff = q_pow(1) - ONE
+        assert tracer.leaves["scalars.add"].calls == before + 1
+    finally:
+        tracer.uninstall()
+    assert diff == ScalarPoly.term(1, q_exp=1) + ScalarPoly.term(-1)
