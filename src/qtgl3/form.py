@@ -96,7 +96,8 @@ def shift_word(a, b, w):
 # {key: int} on `ScalarPoly`'s term keys, so multiplying two monomials adds
 # their keys.  No zero coefficient is stored.  Memo values are shared
 # between entries and never mutated; every exact zero, and every empty
-# action result, is the one `_IZERO`.
+# action result, is the one `_IZERO`.  A `WordEngine` interns the action
+# coefficients its bracket merges build, by their ordered items.
 _IZERO = {}
 _IONE = {0: 1}
 _ITWO = {0: 2}
@@ -149,7 +150,9 @@ class WordEngine:
     rows, one row per id:
 
         _act_rows[op_id]   {word_id: {word_id: 2 x coefficient}}
+        _coeffs            ordered coefficient items -> the one dict holding them
         _form_rows[u_id]   {v_id: 2^(k+l) x form value}, for u of level (k, l)
+        _is_rest[u_id]     1 once u is the peel rest of some interned word
         _insert_cache      (word_id, side, arg) -> id of the word with the
                            factor E12(arg) (side 1) or E32(arg) (side 3) added
 
@@ -160,11 +163,16 @@ class WordEngine:
     coefficients, which `act_mono` and `form_words` rescale into
     `ScalarPoly`s (`int_poly_scalar`).  A `gram` keeps the form memo's
     values themselves as its entries, which is why memo values are never
-    mutated once stored.  The combinatorial evaluator keeps its own
-    tables, `_comb_tables` (entry patterns and cycle lists per level) and
+    mutated once stored.  So `_act` stores every merged coefficient through
+    `_coeffs`, and equal ones (same terms, same order) share one dict.  Only
+    `_form(rest, w)` reads a form row again, so `form_words` drops the entry
+    it just computed when u is nobody's rest (`_is_rest`); such a row stays
+    empty, and refills on demand if u becomes a rest later.  `gram` keeps its
+    entries.  The combinatorial evaluator keeps its own tables,
+    `_comb_tables` (entry patterns and cycle lists per level) and
     `_comb_weights` (word -> weight).  The public methods take and return
-    `Word`s.  The tables grow for the life of the engine; use a fresh
-    engine to bound them.
+    `Word`s.  Words, operators, action entries, interned coefficients and
+    rest rows grow for the life of the engine; a fresh engine bounds them.
     """
 
     def __init__(self):
@@ -173,12 +181,21 @@ class WordEngine:
         self._peel = [None]
         self._lower = [None]
         self._form_rows = [{}]
+        self._is_rest = bytearray(1)
         self._op_ids = {}
         self._ops = []
         self._act_rows = []
+        self._coeffs = {}
         self._insert_cache = {}
         self._comb_tables = {}
         self._comb_weights = {}
+
+    def memo_sizes(self):
+        """Table sizes now: words, operators, memo entries, interned coefficients."""
+        return {"words": len(self._words), "operators": len(self._ops),
+                "form_entries": sum(map(len, self._form_rows)),
+                "act_entries": sum(map(len, self._act_rows)),
+                "interned": len(self._coeffs)}
 
     # -- word and operator ids ----------------------------------------------
 
@@ -199,6 +216,8 @@ class WordEngine:
             m, n = arg
             self._lower.append((self._op(2, side, (-m, -n)), rest, (m * n) << MU_BITS))
             self._form_rows.append({})
+            self._is_rest.append(0)
+            self._is_rest[rest] = 1
         return wid
 
     def _op(self, i, j, mono):
@@ -267,8 +286,8 @@ class WordEngine:
                     new = dict(res.get(w, _IZERO))  # memo values are shared: never mutate one
                     for k, x in c.items():
                         accumulate(new, k + shift, sign * x)
-                    if new:
-                        res[w] = new
+                    if new:  # equal coefficients share one interned dict
+                        res[w] = self._coeffs.setdefault(tuple(new.items()), new)
                     else:
                         del res[w]
             if not res:
@@ -317,7 +336,13 @@ class WordEngine:
         vid = ids.get(v)
         if vid is None:
             vid = self._intern(v)
-        return int_poly_scalar(self._form(uid, vid), 1 << (len(u.e12) + len(u.e32)))
+        row = self._form_rows[uid]
+        res = row.get(vid)
+        if res is None:
+            res = self._form(uid, vid)
+            if not self._is_rest[uid]:  # only the recursion reads a row again
+                del row[vid]
+        return int_poly_scalar(res, 1 << (len(u.e12) + len(u.e32)))
 
     def _form(self, uid, vid):
         """2^(k+l) form_words on word ids, for u of level (k, l)."""

@@ -584,3 +584,102 @@ def test_vacuum_half_mu_mixes_denominators():
         assert eng.act_mono(1, 1, (0, 0), w) == {w: ONE + half * MU}
         # E22(1).1 = -(mu/2), and E22 commutes with E12 only up to -E12(a)
         assert eng.act_mono(2, 2, (0, 0), w) == {w: -ONE - half * MU}
+
+
+# -- bounded memos ------------------------------------------------------------
+
+
+def _peel_rest(w):
+    """The rest a word's first peel leaves: its leading E12 factor off, else its leading E32."""
+    return Word(w.e12[1:], w.e32) if w.e12 else Word((), w.e32[1:])
+
+
+def _sweep(eng, words):
+    for u in words:
+        for v in words:
+            eng.form_words(u, v)
+
+
+def _act_coefficients(eng):
+    return [c for row in eng._act_rows for words in row.values() for c in words.values()]
+
+
+# `memo_sizes()` after `gram((2, 1), window=1)` on a fresh engine (`gram`
+# keeps every form entry it computes)
+MEMO_SIZES_GRAM_21_W1 = {"words": 430, "operators": 136, "form_entries": 5028,
+                         "act_entries": 4400, "interned": 102}
+
+
+def test_memo_sizes_are_pinned():
+    eng = WordEngine()
+    assert eng.memo_sizes() == {"words": 1, "operators": 0, "form_entries": 0,
+                                "act_entries": 0, "interned": 0}
+    eng.gram((2, 1), window=1)
+    assert eng.memo_sizes() == MEMO_SIZES_GRAM_21_W1
+    # read-only: asking twice changes nothing
+    assert eng.memo_sizes() == MEMO_SIZES_GRAM_21_W1
+
+
+def test_equal_action_coefficients_are_one_object():
+    eng = WordEngine()
+    _sweep(eng, LEVEL2_WORDS)
+    coeffs = _act_coefficients(eng)
+    distinct = {tuple(c.items()) for c in coeffs}
+    assert len(coeffs) > 10 * len(distinct)
+    assert len({id(c) for c in coeffs}) == len(distinct)
+    assert eng.memo_sizes()["interned"] >= len(distinct)
+
+
+def test_memo_values_are_never_mutated():
+    eng = WordEngine()
+    _sweep(eng, LEVEL2_WORDS)
+    acts = [(c, tuple(c.items())) for c in _act_coefficients(eng)]
+    forms = [(x, tuple(x.items())) for row in eng._form_rows for x in row.values()]
+    assert acts and forms
+    _sweep(eng, LEVEL3_SAMPLE)
+    assert all(tuple(c.items()) == items for c, items in acts)
+    assert all(tuple(x.items()) == items for x, items in forms)
+
+
+def test_form_rows_kept_only_for_rests():
+    eng = WordEngine()
+    _sweep(eng, LEVEL2_WORDS)
+    rests = {_peel_rest(w) for w in eng._words[1:]}
+    kept = {w for w, row in zip(eng._words, eng._form_rows) if row}
+    assert kept <= rests
+    # the level-1 and vacuum rows serve every level-2 pair, so they stay
+    assert {_peel_rest(w) for w in LEVEL2_WORDS if w != VACUUM} <= kept
+    assert eng.memo_sizes()["form_entries"] == sum(map(len, eng._form_rows))
+
+
+def test_late_rest_row_refills():
+    eng = WordEngine()
+    u = make_word([(0, 0), (1, 0)], [])
+    v = make_word([(0, -1), (1, 1)], [])
+    first = eng.form_words(u, v)
+    u_row = eng._form_rows[eng._ids[u]]
+    assert first and not u_row
+    w = make_word([(-1, 0), (0, 0), (1, 0)], [])
+    assert _peel_rest(w) == u
+    partners = [make_word([(-1, 0), (0, 1), (1, -1)], []),
+                make_word([(-1, 1), (0, -1), (1, 0)], []), w]
+    for x in partners:
+        got = eng.form_words(w, x)
+        assert got == WordEngine().form_words(w, x)
+        assert got == eng.form_combinatorial(w, x)
+    assert u_row and got
+    assert eng.form_words(u, v) == first == WordEngine().form_words(u, v)
+
+
+def test_crosscheck_sweep_memory_is_bounded():
+    words = random.Random(0).sample(
+        [w for k in range(4) for l in range(4 - k) for w in enumerate_words((k, l), window=1)],
+        300)
+    eng = WordEngine()
+    tracemalloc.start()
+    try:
+        _sweep(eng, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15_000_000
