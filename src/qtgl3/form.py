@@ -23,10 +23,12 @@ evaluators agree, and that agreement is part of the test suite.
 The action and the defining recursion run on small integer ids: a
 `WordEngine` numbers each word it meets, storing its peel split and its
 lowering step once, and each non-raising operator E_ij(mono) it meets.
-Both memos are tables of rows: the form keeps one dict per left word id,
-keyed by the right word id, and the action one dict per operator id,
-keyed by word id.  So a memo lookup is one list index and one small-int
-dict lookup, and builds no tuple.  Only the public methods see `Word`s.
+Both memos are tables of rows: the form keeps one dict of nonzero values
+per left word id, keyed by the right word id, plus one bit per computed
+zero, and the action one dict per operator id, keyed by word id, whose
+values are tuples of (word id, coefficient) pairs.  So a memo lookup is
+one list index and one small-int dict lookup or bit test, and builds no
+tuple.  Only the public methods see `Word`s.
 
 The recursions also run on integer polynomials instead of `ScalarPoly`:
 term dicts with `ScalarPoly`'s own keys (see `scalars`) and integer
@@ -95,14 +97,17 @@ def shift_word(a, b, w):
 # Integer polynomials, the value ring of the engine's recursions: a dict
 # {key: int} on `ScalarPoly`'s term keys, so multiplying two monomials adds
 # their keys.  No zero coefficient is stored.  Memo values are shared
-# between entries and never mutated; every exact zero, and every empty
-# action result, is the one `_IZERO`.  A `WordEngine` interns the action
-# coefficients its bracket merges build, by their ordered items.
+# between entries and never mutated; every exact zero is the one `_IZERO`.
+# A `WordEngine` interns the action coefficients its bracket merges build,
+# by their ordered items.
 _IZERO = {}
 _IONE = {0: 1}
 _ITWO = {0: 2}
 _IMU = {1: 1}
 _IMINUS_MU = {1: -1}
+
+# the zero bits of a form row that has no computed zero yet, shared
+_NO_ZEROS = b""
 
 
 def int_poly_scalar(poly, denom):
@@ -149,9 +154,13 @@ class WordEngine:
     E_ij(mono) gets an operator id on first use.  The memos are lists of
     rows, one row per id:
 
-        _act_rows[op_id]   {word_id: {word_id: 2 x coefficient}}
+        _act_rows[op_id]   {word_id: ((word_id, 2 x coefficient), ...)}
         _coeffs            ordered coefficient items -> the one dict holding them
-        _form_rows[u_id]   {v_id: 2^(k+l) x form value}, for u of level (k, l)
+        _form_rows[u_id]   {v_id: 2^(k+l) x form value}, for u of level (k, l),
+                           nonzero values only
+        _zero_rows[u_id]   bytearray with bit v_id set once (u, v) is computed
+                           to be exactly zero; the shared empty _NO_ZEROS
+                           until the row's first zero
         _is_rest[u_id]     1 once u is the peel rest of some interned word
         _insert_cache      (word_id, side, arg) -> id of the word with the
                            factor E12(arg) (side 1) or E32(arg) (side 3) added
@@ -163,16 +172,19 @@ class WordEngine:
     coefficients, which `act_mono` and `form_words` rescale into
     `ScalarPoly`s (`int_poly_scalar`).  A `gram` keeps the form memo's
     values themselves as its entries, which is why memo values are never
-    mutated once stored.  So `_act` stores every merged coefficient through
-    `_coeffs`, and equal ones (same terms, same order) share one dict.  Only
-    `_form(rest, w)` reads a form row again, so `form_words` drops the entry
-    it just computed when u is nobody's rest (`_is_rest`); such a row stays
-    empty, and refills on demand if u becomes a rest later.  `gram` keeps its
-    entries.  The combinatorial evaluator keeps its own tables,
-    `_comb_tables` (entry patterns and cycle lists per level) and
-    `_comb_weights` (word -> weight).  The public methods take and return
-    `Word`s.  Words, operators, action entries, interned coefficients and
-    rest rows grow for the life of the engine; a fresh engine bounds them.
+    mutated once stored.  So `_act` merges the bracket terms of a word in a
+    scratch dict, stores the word's final coefficient through `_coeffs`, so
+    that equal ones (same terms, same order) share one dict, and freezes the
+    result into its pairs.  Most form values are zero; each is computed once,
+    like any other, and kept as one bit.  Only the recursion `_form(rest, w)`
+    reads a form row again, so `form_words` keeps what it computes only when
+    u is some word's rest (`_is_rest`); any other row stays empty, and fills
+    on demand if u becomes a rest later.  `gram` keeps its entries.  The
+    combinatorial evaluator keeps its own tables, `_comb_tables` (entry
+    patterns and cycle lists per level) and `_comb_weights` (word ->
+    weight).  The public methods take and return `Word`s.  Words,
+    operators, action entries, interned coefficients, and the rows and bits
+    of rests grow for the life of the engine; a fresh engine bounds them.
     """
 
     def __init__(self):
@@ -181,6 +193,7 @@ class WordEngine:
         self._peel = [None]
         self._lower = [None]
         self._form_rows = [{}]
+        self._zero_rows = [_NO_ZEROS]
         self._is_rest = bytearray(1)
         self._op_ids = {}
         self._ops = []
@@ -191,9 +204,11 @@ class WordEngine:
         self._comb_weights = {}
 
     def memo_sizes(self):
-        """Table sizes now: words, operators, memo entries, interned coefficients."""
+        """Table sizes now: words, operators, memo entries (a form entry is a
+        nonzero value or a zero bit), interned coefficients."""
         return {"words": len(self._words), "operators": len(self._ops),
-                "form_entries": sum(map(len, self._form_rows)),
+                "form_entries": sum(map(len, self._form_rows))
+                + sum(int.from_bytes(z, "little").bit_count() for z in self._zero_rows),
                 "act_entries": sum(map(len, self._act_rows)),
                 "interned": len(self._coeffs)}
 
@@ -201,7 +216,7 @@ class WordEngine:
 
     def _intern(self, word):
         """Id of a word; the first sighting records it, its peel split, its
-        lowering step and its form row."""
+        lowering step and its form rows."""
         wid = self._ids.get(word)
         if wid is None:
             if word.e12:
@@ -216,6 +231,7 @@ class WordEngine:
             m, n = arg
             self._lower.append((self._op(2, side, (-m, -n)), rest, (m * n) << MU_BITS))
             self._form_rows.append({})
+            self._zero_rows.append(_NO_ZEROS)
             self._is_rest.append(0)
             self._is_rest[rest] = 1
         return wid
@@ -249,17 +265,17 @@ class WordEngine:
         """E_ij(s^m t^n) . word expanded in the word basis (central terms dropped)."""
         words = self._words
         return {words[w]: int_poly_scalar(c, 2)
-                for w, c in self._act_any(i, j, mono, self._intern(word)).items()}
+                for w, c in self._act_any(i, j, mono, self._intern(word))}
 
     def _act_any(self, i, j, mono, wid):
         """2 E_ij(mono) . word `wid` for any operator, raising or not."""
         if j == 2 and i != 2:  # E12, E32 just add a factor; side = i
-            return {self._insert(wid, i, mono): _ITWO}
+            return ((self._insert(wid, i, mono), _ITWO),)
         return self._act(self._op(i, j, mono), wid)
 
     def _act(self, op, wid):
-        """2 E_ij(mono) . word `wid` as {word id: integer polynomial}, for
-        the non-raising operator E_ij(mono) of id `op`."""
+        """2 E_ij(mono) . word `wid` as (word id, integer polynomial) pairs,
+        for the non-raising operator E_ij(mono) of id `op`; () if none."""
         row = self._act_rows[op]
         res = row.get(wid)
         if res is not None:
@@ -268,30 +284,33 @@ class WordEngine:
         if not wid:
             if i == j and mono == (0, 0):
                 # 2 E_ii(1).1 = mu for E11 and E33, -mu for E22
-                res = {0: _IMINUS_MU if i == 2 else _IMU}
+                c = _IMINUS_MU if i == 2 else _IMU
+                res = ((0, self._coeffs.setdefault(tuple(c.items()), c)),)
             else:
-                res = _IZERO
+                res = ()
         else:
             # E_ij(a) g(b) rest = g(b) E_ij(a) rest + [E_ij(a), g(b)] rest
             side, garg, rest = self._peel[wid]
             # adding one fixed factor is injective on words: no keys collide
-            res = {self._insert(w, side, garg): c
-                   for w, c in self._act(op, rest).items()}
+            terms = {self._insert(w, side, garg): c for w, c in self._act(op, rest)}
+            merged = {}  # word -> its coefficient in terms, as a scratch dict
             # looked up in this module at call time, so it can be wrapped
             for (i2, j2, mono2, sign, e) in matrix_bracket_terms(
                 i, j, mono[0], mono[1], side, 2, garg[0], garg[1]
             ):
                 shift = e << MU_BITS
-                for w, c in self._act_any(i2, j2, mono2, rest).items():
-                    new = dict(res.get(w, _IZERO))  # memo values are shared: never mutate one
+                for w, c in self._act_any(i2, j2, mono2, rest):
+                    new = merged.get(w)
+                    if new is None:  # memo values are shared: never mutate one
+                        new = merged[w] = terms[w] = dict(terms.get(w) or ())
                     for k, x in c.items():
                         accumulate(new, k + shift, sign * x)
-                    if new:  # equal coefficients share one interned dict
-                        res[w] = self._coeffs.setdefault(tuple(new.items()), new)
-                    else:
-                        del res[w]
-            if not res:
-                res = _IZERO
+                    if not new:
+                        del terms[w], merged[w]
+            coeffs = self._coeffs
+            for w, c in merged.items():  # equal coefficients share one interned dict
+                terms[w] = coeffs.setdefault(tuple(c.items()), c)
+            res = tuple(terms.items())
         row[wid] = res
         return res
 
@@ -336,20 +355,21 @@ class WordEngine:
         vid = ids.get(v)
         if vid is None:
             vid = self._intern(v)
-        row = self._form_rows[uid]
-        res = row.get(vid)
-        if res is None:
-            res = self._form(uid, vid)
-            if not self._is_rest[uid]:  # only the recursion reads a row again
-                del row[vid]
+        # only the recursion reads a row again: keep it for rests only
+        res = self._form(uid, vid, keep=False)
         return int_poly_scalar(res, 1 << (len(u.e12) + len(u.e32)))
 
-    def _form(self, uid, vid):
-        """2^(k+l) form_words on word ids, for u of level (k, l)."""
+    def _form(self, uid, vid, keep=True):
+        """2^(k+l) form_words on word ids, for u of level (k, l), from the
+        memo or computed once; a computed value is kept when `keep` is true
+        or u is some word's rest."""
         row = self._form_rows[uid]
         res = row.get(vid)
         if res is not None:
             return res
+        zeros = self._zero_rows[uid]
+        if vid >> 3 < len(zeros) and zeros[vid >> 3] >> (vid & 7) & 1:
+            return _IZERO
         if not uid:
             res = _IZERO if vid else _IONE
         else:
@@ -357,23 +377,36 @@ class WordEngine:
             # carries one factor 2 of 2^(k+l)
             op, rest, shift = self._lower[uid]
             sub_get = self._form_rows[rest].get
+            sub_zeros = self._zero_rows[rest]  # if replaced below, _form(rest, w) tests the bit
             # sum, then filter: a mid-sum drop could reorder terms, and compile_gram sums in order
             total = {}
             get = total.get
-            for w, c in self._act(op, vid).items():
+            for w, c in self._act(op, vid):
+                if w >> 3 < len(sub_zeros) and sub_zeros[w >> 3] >> (w & 7) & 1:
+                    continue  # most values are zero: test the bit first
                 sub = sub_get(w)
                 if sub is None:
                     sub = self._form(rest, w)
-                if sub:
-                    for k1, x1 in c.items():
-                        for k2, x2 in sub.items():
-                            k = k1 + k2
-                            total[k] = get(k, 0) + x1 * x2
+                    if not sub:
+                        continue
+                for k1, x1 in c.items():
+                    for k2, x2 in sub.items():
+                        k = k1 + k2
+                        total[k] = get(k, 0) + x1 * x2
             if total:
                 res = {k + shift: -x for k, x in total.items() if x} or _IZERO
             else:
                 res = _IZERO
-        row[vid] = res
+        if keep or self._is_rest[uid]:
+            if res:
+                row[vid] = res
+            else:  # a computed zero is one bit
+                byte = vid >> 3
+                if byte >= len(zeros):
+                    if zeros is _NO_ZEROS:  # the row's first zero
+                        zeros = self._zero_rows[uid] = bytearray()
+                    zeros.extend(bytes(byte + 1 - len(zeros)))
+                zeros[byte] |= 1 << (vid & 7)
         return res
 
     def form(self, cu, cv):

@@ -553,12 +553,14 @@ def test_form_memo_holds_integer_polynomials():
     eng = WordEngine()
     eng.gram((2, 1), window=1)
     form_values = [value for row in eng._form_rows for value in row.values()]
-    actions = [words for row in eng._act_rows for words in row.values()]
+    actions = [pairs for row in eng._act_rows for pairs in row.values()]
     assert form_values and actions
     for value in form_values:
         assert all(type(c) is int for c in value.values())
-    for words in actions:
-        for coeff in words.values():
+    for pairs in actions:
+        assert type(pairs) is tuple
+        for w, coeff in pairs:
+            assert type(w) is int
             assert all(type(c) is int for c in coeff.values())
 
 
@@ -601,13 +603,19 @@ def _sweep(eng, words):
 
 
 def _act_coefficients(eng):
-    return [c for row in eng._act_rows for words in row.values() for c in words.values()]
+    return [c for row in eng._act_rows for pairs in row.values() for _, c in pairs]
+
+
+def _zero_pairs(eng):
+    """The (u id, v id) pairs whose form value was computed to be exactly zero."""
+    return [(u, v) for u, zeros in enumerate(eng._zero_rows)
+            for v in range(8 * len(zeros)) if zeros[v >> 3] >> (v & 7) & 1]
 
 
 # `memo_sizes()` after `gram((2, 1), window=1)` on a fresh engine (`gram`
 # keeps every form entry it computes)
 MEMO_SIZES_GRAM_21_W1 = {"words": 430, "operators": 136, "form_entries": 5028,
-                         "act_entries": 4400, "interned": 102}
+                         "act_entries": 4400, "interned": 85}
 
 
 def test_memo_sizes_are_pinned():
@@ -635,21 +643,76 @@ def test_memo_values_are_never_mutated():
     _sweep(eng, LEVEL2_WORDS)
     acts = [(c, tuple(c.items())) for c in _act_coefficients(eng)]
     forms = [(x, tuple(x.items())) for row in eng._form_rows for x in row.values()]
-    assert acts and forms
+    zeros = _zero_pairs(eng)
+    assert acts and forms and zeros
     _sweep(eng, LEVEL3_SAMPLE)
     assert all(tuple(c.items()) == items for c, items in acts)
     assert all(tuple(x.items()) == items for x, items in forms)
+    # a zero bit is never cleared, and no value is stored beside it
+    assert set(zeros) <= set(_zero_pairs(eng))
+    assert not any(v in eng._form_rows[u] for u, v in zeros)
 
 
 def test_form_rows_kept_only_for_rests():
     eng = WordEngine()
     _sweep(eng, LEVEL2_WORDS)
     rests = {_peel_rest(w) for w in eng._words[1:]}
-    kept = {w for w, row in zip(eng._words, eng._form_rows) if row}
+    kept = {w for w, row, zeros in zip(eng._words, eng._form_rows, eng._zero_rows)
+            if row or any(zeros)}
     assert kept <= rests
     # the level-1 and vacuum rows serve every level-2 pair, so they stay
     assert {_peel_rest(w) for w in LEVEL2_WORDS if w != VACUUM} <= kept
-    assert eng.memo_sizes()["form_entries"] == sum(map(len, eng._form_rows))
+    assert eng.memo_sizes()["form_entries"] == (sum(map(len, eng._form_rows))
+                                                + len(_zero_pairs(eng)))
+
+
+def test_zero_bits_are_sound():
+    eng = WordEngine()
+    _sweep(eng, LEVEL3_SAMPLE)
+    assert not any(not x for row in eng._form_rows for x in row.values())
+    zeros = _zero_pairs(eng)
+    assert len(zeros) > 1000
+    fresh = WordEngine()
+    for u, v in reversed(zeros):  # another engine, another evaluation order
+        u, v = eng._words[u], eng._words[v]
+        assert fresh.form_words(u, v) is ZERO
+        assert fresh.form_combinatorial(u, v) is ZERO
+
+
+# SHA-256 of the memo contents in stored order: every action entry as
+# (operator id, word id, its pairs, each coefficient as its items), every
+# nonzero form value as (u id, v id, its items), and the sorted (u id, v id)
+# pairs computed to be zero.  Recorded when the memos still stored zeros as
+# empty dicts and action results as dicts, so the compact memos hold the
+# same values in the same order.
+PINNED_MEMO_CONTENTS = {
+    "gram_21_w1": {
+        "act": "ee9159ae7b8b8ce2b8910f71364f2c4c141a7eab8fc4a1e6b045e4f10e9007b7",
+        "form": "ec5161de8d6f2bce11bb41397f0c202e62afd02142ccde65abfd5631336006ce",
+        "zeros": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    },
+    "level3_sweep": {
+        "act": "a30674905b4e6c7a488d1244bbe62f363a1b747374179721dc13876a29667227",
+        "form": "01dc2b68f00b1ad48333e8a303443c2e0156b767162cf14afd6ae19fb9ee45be",
+        "zeros": "7d67406a1b1474e8f264dbae4c56286b3a83a1af6066b052c289c9e41af5791b",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_MEMO_CONTENTS))
+def test_memo_term_order_is_pinned(case):
+    eng = WordEngine()
+    if case == "gram_21_w1":
+        eng.gram((2, 1), window=1)
+    else:
+        _sweep(eng, LEVEL3_SAMPLE)
+    acts = [(op, wid, [(w, tuple(c.items())) for w, c in pairs])
+            for op, row in enumerate(eng._act_rows) for wid, pairs in row.items()]
+    forms = [(uid, vid, tuple(x.items()))
+             for uid, row in enumerate(eng._form_rows) for vid, x in row.items()]
+    got = {name: hashlib.sha256(repr(x).encode()).hexdigest()
+           for name, x in (("act", acts), ("form", forms), ("zeros", _zero_pairs(eng)))}
+    assert got == PINNED_MEMO_CONTENTS[case]
 
 
 def test_late_rest_row_refills():
@@ -657,8 +720,8 @@ def test_late_rest_row_refills():
     u = make_word([(0, 0), (1, 0)], [])
     v = make_word([(0, -1), (1, 1)], [])
     first = eng.form_words(u, v)
-    u_row = eng._form_rows[eng._ids[u]]
-    assert first and not u_row
+    u_row, u_zeros = eng._form_rows[eng._ids[u]], eng._zero_rows[eng._ids[u]]
+    assert first and not u_row and not any(u_zeros)
     w = make_word([(-1, 0), (0, 0), (1, 0)], [])
     assert _peel_rest(w) == u
     partners = [make_word([(-1, 0), (0, 1), (1, -1)], []),
@@ -671,15 +734,31 @@ def test_late_rest_row_refills():
     assert eng.form_words(u, v) == first == WordEngine().form_words(u, v)
 
 
+# 300 of the 1,330 words of total level <= 3 at window 1
+SWEEP_WORDS = random.Random(0).sample(
+    [w for k in range(4) for l in range(4 - k) for w in enumerate_words((k, l), window=1)],
+    300)
+
+
 def test_crosscheck_sweep_memory_is_bounded():
-    words = random.Random(0).sample(
-        [w for k in range(4) for l in range(4 - k) for w in enumerate_words((k, l), window=1)],
-        300)
     eng = WordEngine()
     tracemalloc.start()
     try:
-        _sweep(eng, words)
+        _sweep(eng, SWEEP_WORDS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 15_000_000
+    assert peak < 9_000_000
+
+
+def test_interned_coefficients_are_all_live():
+    # each word's final merged coefficient is interned once, no intermediate
+    # merge, and every action coefficient is an interned dict
+    eng = WordEngine()
+    _sweep(eng, SWEEP_WORDS)
+    live = {id(c) for c in _act_coefficients(eng)}
+    assert eng._coeffs
+    for items, c in eng._coeffs.items():
+        assert id(c) in live
+        assert tuple(c.items()) == items
+    assert len(live) == len(eng._coeffs)
