@@ -17,6 +17,12 @@ value, the median and quartiles of each side, and the number of pairs in
 which the working tree did better; and per workload and side, whether every
 run was `correct` and the share of failed operations.
 
+Each summary line gives the change of the median in percent and whether the
+gain rule holds: the working tree did better in at least 9 of the 10 pairs,
+and its median differs from the base's by more than the base's q3 - q1.
+After writing --out, the script exits 1, naming the workload and side, if
+any run on either side was not `correct` or had failed operations.
+
 Each run is its own process group and is killed with it if the script stops
 early (on an exception, Ctrl-C, SIGTERM or SIGHUP), and both copies are
 removed on exit, so nothing is left behind.
@@ -38,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 PAIRS = 10
+GAIN_WINS = 9  # pairs of the 10 the working tree must win for a gain
 
 
 def git(*args):
@@ -102,6 +109,21 @@ def summary(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(m):
+    """(change of the median in percent, whether the gain rule holds) of a metric entry."""
+    base, change = m["base"]["median"], m["change"]["median"]
+    better = change < base if m["better"] == "lower" else change > base
+    holds = (better and m["change_wins"] >= GAIN_WINS
+             and abs(change - base) > m["base"]["q3"] - m["base"]["q1"])
+    return 100 * (change - base) / base, holds
+
+
+def failures(report):
+    """(workload, side) of every side with a run that was not correct or had failed operations."""
+    return [(workload, side) for workload, entry in report["workloads"].items() for side in SIDES
+            if not entry["correct"][side] or entry["fail_frac"][side] > 0]
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="commit to compare the working tree against")
@@ -159,11 +181,17 @@ def main(argv=None):
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
+            pct, holds = verdict(m)
             print(f"{workload:10s} {name:12s} {m['base']['median']:12.6g} -> "
-                  f"{m['change']['median']:12.6g} {m['unit']:4s} "
+                  f"{m['change']['median']:12.6g} {m['unit']:4s} {pct:+7.1f} % "
                   f"(base q1 {m['base']['q1']:.6g}, q3 {m['base']['q3']:.6g}; "
-                  f"change better in {m['change_wins']}/{PAIRS})")
-    return 0
+                  f"change better in {m['change_wins']}/{PAIRS}; "
+                  f"gain {'holds' if holds else 'does not hold'})")
+    bad = failures(report)
+    for workload, side in bad:
+        print(f"{workload} {side}: a run was not correct or had failed operations",
+              file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

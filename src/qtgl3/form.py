@@ -26,9 +26,10 @@ lowering step once, and each non-raising operator E_ij(mono) it meets.
 Both memos are tables of rows: the form keeps one dict of nonzero values
 per left word id, keyed by the right word id, plus one bit per computed
 zero, and the action one dict per operator id, keyed by word id, whose
-values are tuples of (word id, coefficient) pairs.  So a memo lookup is
-one list index and one small-int dict lookup or bit test, and builds no
-tuple.  Only the public methods see `Word`s.
+values are tuples of (word id, coefficient) pairs.  Every caller probes
+a memo in place, by one list index and one small-int dict lookup or bit
+test; `_act` and `_form` run only on a miss, to compute and store one
+entry.  Only the public methods see `Word`s.
 
 The recursions also run on integer polynomials instead of `ScalarPoly`:
 term dicts with `ScalarPoly`'s own keys (see `scalars`) and integer
@@ -117,13 +118,6 @@ def int_poly_scalar(poly, denom):
                             for key, c in poly.items()}) if poly else ZERO
 
 
-def _insert_sorted(args, a):
-    out = list(args)
-    out.append(a)
-    out.sort()
-    return tuple(out)
-
-
 def _cycles(perm):
     n = len(perm)
     seen = [False] * n
@@ -152,7 +146,8 @@ class WordEngine:
     leading factor E_{side,2}(s^m t^n) as an operator id, and its q^(mn)
     as the key shift (m*n) << MU_BITS.  Every non-raising operator
     E_ij(mono) gets an operator id on first use.  The memos are lists of
-    rows, one row per id:
+    rows, one row per id, that callers probe before they call `_act`,
+    `_form` or `_insert` to compute a missing entry:
 
         _act_rows[op_id]   {word_id: ((word_id, 2 x coefficient), ...)}
         _coeffs            ordered coefficient items -> the one dict holding them
@@ -183,8 +178,9 @@ class WordEngine:
     combinatorial evaluator keeps its own tables, `_comb_tables` (entry
     patterns and cycle lists per level) and `_comb_weights` (word ->
     weight).  The public methods take and return `Word`s.  Words,
-    operators, action entries, interned coefficients, and the rows and bits
-    of rests grow for the life of the engine; a fresh engine bounds them.
+    operators, action entries, interned coefficients, factor inserts, and
+    the rows and bits of rests grow for the life of the engine; a fresh
+    engine bounds them.
     """
 
     def __init__(self):
@@ -205,12 +201,12 @@ class WordEngine:
 
     def memo_sizes(self):
         """Table sizes now: words, operators, memo entries (a form entry is a
-        nonzero value or a zero bit), interned coefficients."""
+        nonzero value or a zero bit), interned coefficients, factor inserts."""
         return {"words": len(self._words), "operators": len(self._ops),
                 "form_entries": sum(map(len, self._form_rows))
                 + sum(int.from_bytes(z, "little").bit_count() for z in self._zero_rows),
                 "act_entries": sum(map(len, self._act_rows)),
-                "interned": len(self._coeffs)}
+                "interned": len(self._coeffs), "inserts": len(self._insert_cache)}
 
     # -- word and operator ids ----------------------------------------------
 
@@ -247,39 +243,33 @@ class WordEngine:
         return op
 
     def _insert(self, wid, side, arg):
-        """Id of word `wid` times E12(arg) (side 1) or E32(arg) (side 3), re-sorted."""
-        key = (wid, side, arg)
-        res = self._insert_cache.get(key)
-        if res is None:
-            w = self._words[wid]
-            if side == 1:
-                w = Word(_insert_sorted(w.e12, arg), w.e32)
-            else:
-                w = Word(w.e12, _insert_sorted(w.e32, arg))
-            res = self._insert_cache[key] = self._intern(w)
+        """Id of word `wid` times E12(arg) (side 1) or E32(arg) (side 3), re-sorted,
+        stored in `_insert_cache`, which callers probe first."""
+        w = self._words[wid]
+        w = make_word(w.e12 + (arg,), w.e32) if side == 1 else make_word(w.e12, w.e32 + (arg,))
+        res = self._insert_cache[(wid, side, arg)] = self._intern(w)
         return res
 
     # -- action ---------------------------------------------------------
 
     def act_mono(self, i, j, mono, word):
         """E_ij(s^m t^n) . word expanded in the word basis (central terms dropped)."""
-        words = self._words
-        return {words[w]: int_poly_scalar(c, 2)
-                for w, c in self._act_any(i, j, mono, self._intern(word))}
-
-    def _act_any(self, i, j, mono, wid):
-        """2 E_ij(mono) . word `wid` for any operator, raising or not."""
+        wid = self._intern(word)
         if j == 2 and i != 2:  # E12, E32 just add a factor; side = i
-            return ((self._insert(wid, i, mono), _ITWO),)
-        return self._act(self._op(i, j, mono), wid)
+            w = self._insert_cache.get((wid, i, mono)) or self._insert(wid, i, mono)
+            pairs = ((w, _ITWO),)
+        else:
+            op = self._op(i, j, mono)
+            pairs = self._act_rows[op].get(wid)
+            if pairs is None:
+                pairs = self._act(op, wid)
+        words = self._words
+        return {words[w]: int_poly_scalar(c, 2) for w, c in pairs}
 
     def _act(self, op, wid):
         """2 E_ij(mono) . word `wid` as (word id, integer polynomial) pairs,
-        for the non-raising operator E_ij(mono) of id `op`; () if none."""
-        row = self._act_rows[op]
-        res = row.get(wid)
-        if res is not None:
-            return res
+        for the non-raising operator E_ij(mono) of id `op`; () if none.
+        Computes and stores the entry: callers probe `_act_rows[op]` first."""
         i, j, mono = self._ops[op]
         if not wid:
             if i == j and mono == (0, 0):
@@ -291,15 +281,31 @@ class WordEngine:
         else:
             # E_ij(a) g(b) rest = g(b) E_ij(a) rest + [E_ij(a), g(b)] rest
             side, garg, rest = self._peel[wid]
-            # adding one fixed factor is injective on words: no keys collide
-            terms = {self._insert(w, side, garg): c for w, c in self._act(op, rest)}
+            act_rows, op_ids, inserts = self._act_rows, self._op_ids, self._insert_cache
+            pairs = act_rows[op].get(rest)
+            if pairs is None:
+                pairs = self._act(op, rest)
+            # adding one fixed factor is injective on words (no keys collide), never id 0
+            terms = {}
+            for w, c in pairs:
+                terms[inserts.get((w, side, garg)) or self._insert(w, side, garg)] = c
             merged = {}  # word -> its coefficient in terms, as a scratch dict
             # looked up in this module at call time, so it can be wrapped
             for (i2, j2, mono2, sign, e) in matrix_bracket_terms(
                 i, j, mono[0], mono[1], side, 2, garg[0], garg[1]
             ):
+                if j2 == 2 and i2 != 2:  # E12, E32 just add a factor; side = i2
+                    pairs = ((inserts.get((rest, i2, mono2))
+                              or self._insert(rest, i2, mono2), _ITWO),)
+                else:
+                    op2 = op_ids.get((i2, j2, mono2))
+                    if op2 is None:
+                        op2 = self._op(i2, j2, mono2)
+                    pairs = act_rows[op2].get(rest)
+                    if pairs is None:
+                        pairs = self._act(op2, rest)
                 shift = e << MU_BITS
-                for w, c in self._act_any(i2, j2, mono2, rest):
+                for w, c in pairs:
                     new = merged.get(w)
                     if new is None:  # memo values are shared: never mutate one
                         new = merged[w] = terms[w] = dict(terms.get(w) or ())
@@ -311,7 +317,7 @@ class WordEngine:
             for w, c in merged.items():  # equal coefficients share one interned dict
                 terms[w] = coeffs.setdefault(tuple(c.items()), c)
             res = tuple(terms.items())
-        row[wid] = res
+        self._act_rows[op][wid] = res
         return res
 
     def act_d(self, which, combo):
@@ -355,52 +361,51 @@ class WordEngine:
         vid = ids.get(v)
         if vid is None:
             vid = self._intern(v)
-        # only the recursion reads a row again: keep it for rests only
-        res = self._form(uid, vid, keep=False)
-        return int_poly_scalar(res, 1 << (len(u.e12) + len(u.e32)))
-
-    def _form(self, uid, vid, keep=True):
-        """2^(k+l) form_words on word ids, for u of level (k, l), from the
-        memo or computed once; a computed value is kept when `keep` is true
-        or u is some word's rest."""
-        row = self._form_rows[uid]
-        res = row.get(vid)
-        if res is not None:
-            return res
         zeros = self._zero_rows[uid]
         if vid >> 3 < len(zeros) and zeros[vid >> 3] >> (vid & 7) & 1:
-            return _IZERO
+            return ZERO
+        res = self._form_rows[uid].get(vid)
+        if res is None:  # only the recursion reads a row again: keep it for rests only
+            res = self._form(uid, vid, False)
+        return int_poly_scalar(res, 1 << (len(u.e12) + len(u.e32))) if res else ZERO
+
+    def _form(self, uid, vid, keep=True):
+        """2^(k+l) form_words on word ids, for u of level (k, l), computed on a
+        miss: callers probe the row and its zero bits first.  The value is kept
+        when `keep` is true or u is some word's rest."""
         if not uid:
             res = _IZERO if vid else _IONE
         else:
             # (g u', v) = (u', omega(g) v); each doubled action coefficient
             # carries one factor 2 of 2^(k+l)
             op, rest, shift = self._lower[uid]
-            sub_get = self._form_rows[rest].get
-            sub_zeros = self._zero_rows[rest]  # if replaced below, _form(rest, w) tests the bit
+            pairs = self._act_rows[op].get(vid)
+            if pairs is None:
+                pairs = self._act(op, vid)
+            sub_zeros = self._zero_rows[rest]  # row rest changes only at the w being visited
             # sum, then filter: a mid-sum drop could reorder terms, and compile_gram sums in order
-            total = {}
-            get = total.get
-            for w, c in self._act(op, vid):
+            total = None
+            for w, c in pairs:
                 if w >> 3 < len(sub_zeros) and sub_zeros[w >> 3] >> (w & 7) & 1:
                     continue  # most values are zero: test the bit first
-                sub = sub_get(w)
+                sub = self._form_rows[rest].get(w)
                 if sub is None:
                     sub = self._form(rest, w)
                     if not sub:
                         continue
+                if total is None:
+                    total = {}
+                    get = total.get
                 for k1, x1 in c.items():
                     for k2, x2 in sub.items():
                         k = k1 + k2
                         total[k] = get(k, 0) + x1 * x2
-            if total:
-                res = {k + shift: -x for k, x in total.items() if x} or _IZERO
-            else:
-                res = _IZERO
+            res = ({k + shift: -x for k, x in total.items() if x} or _IZERO) if total else _IZERO
         if keep or self._is_rest[uid]:
             if res:
-                row[vid] = res
+                self._form_rows[uid][vid] = res
             else:  # a computed zero is one bit
+                zeros = self._zero_rows[uid]
                 byte = vid >> 3
                 if byte >= len(zeros):
                     if zeros is _NO_ZEROS:  # the row's first zero
@@ -442,7 +447,13 @@ class WordEngine:
         k, l = len(u.e12), len(u.e32)
         if k != len(v.e12) or l != len(v.e32):
             return ZERO
-        if self._comb_weight(u) != self._comb_weight(v):
+        weights = self._comb_weights
+        wu, wv = weights.get(u), weights.get(v)
+        if wu is None:
+            wu = weights[u] = word_weight(u)
+        if wv is None:
+            wv = weights[v] = word_weight(v)
+        if wu != wv:
             # Each chain below ends on the monomial s^cur_m t^cur_n, where
             # (cur_m, cur_n) sums (mc - mr, nc - nr) over the chain's rows.
             # The chains of a (sigma, tau) pair use every row and every
@@ -500,12 +511,6 @@ class WordEngine:
             {key: GaussianRational._make(count, 0, 1) for key, count in acc.items()}
         )
 
-    def _comb_weight(self, w):
-        wt = self._comb_weights.get(w)
-        if wt is None:
-            wt = self._comb_weights[w] = word_weight(w)
-        return wt
-
     def _comb_level_table(self, k, l):
         """Block-diagonal entry patterns (column of each row) and the cycle
         lists of every row permutation at level (k, l), built once."""
@@ -552,7 +557,9 @@ class WordEngine:
         for (ws, wt), group in groups.items():
             a, b = -(ws // k_l), -(wt // k_l)
             ids = [self._intern(shift_word(a, b, basis[i])) for i in group]
-            blocks.append((group, [[self._form(i, j) for j in ids] for i in ids]))
+            # a zero bit, never met in a same-weight block so far, is recomputed
+            blocks.append((group, [[self._form_rows[i].get(j) or self._form(i, j) for j in ids]
+                                   for i in ids]))
         return GramMatrix(level=level, window=window, constraint=constraint,
                           basis=basis, blocks=blocks)
 

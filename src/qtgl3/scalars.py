@@ -14,6 +14,9 @@ The term q^e mu^d has one key in the whole package, the int
 (e << MU_BITS) + d with 0 <= d < 2^MU_BITS, so a product of terms adds
 keys.  `ScalarPoly`, the word engine's integer polynomials (`form`) and
 compiled Gram arrays (`unitarity`) all use it; `unpack_key` decodes it.
+Products add keys without a check, so a degree that reached 2^MU_BITS
+would carry into q: the constructors (`ScalarPoly.term`) are the only
+range check.  The degrees stay small: at most k + l at level (k, l).
 
 `SparseSum` is the term algebra of all four sparse sums in the package:
 these q/mu polynomials (`ScalarPoly`, Gaussian-rational coefficients) and,

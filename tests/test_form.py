@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from qtgl3 import cli, fock
+from qtgl3 import cli, fock, form
 from qtgl3.form import (
     VACUUM,
     Word,
@@ -25,8 +25,8 @@ from qtgl3.form import (
     word_weight,
     words_to_polys_rank,
 )
-from qtgl3.gl3 import GlElement, omega
-from qtgl3.scalars import MU, MU_BITS, ONE, GaussianRational, ScalarPoly, q_pow
+from qtgl3.gl3 import GlElement, matrix_bracket_terms, omega
+from qtgl3.scalars import MU, MU_BITS, ONE, GaussianRational, ScalarPoly, q_pow, unpack_key
 from qtgl3.verify import rand_config
 
 ZERO = ScalarPoly.zero()
@@ -615,17 +615,49 @@ def _zero_pairs(eng):
 # `memo_sizes()` after `gram((2, 1), window=1)` on a fresh engine (`gram`
 # keeps every form entry it computes)
 MEMO_SIZES_GRAM_21_W1 = {"words": 430, "operators": 136, "form_entries": 5028,
-                         "act_entries": 4400, "interned": 85}
+                         "act_entries": 4400, "interned": 85, "inserts": 236}
 
 
 def test_memo_sizes_are_pinned():
     eng = WordEngine()
     assert eng.memo_sizes() == {"words": 1, "operators": 0, "form_entries": 0,
-                                "act_entries": 0, "interned": 0}
+                                "act_entries": 0, "interned": 0, "inserts": 0}
     eng.gram((2, 1), window=1)
     assert eng.memo_sizes() == MEMO_SIZES_GRAM_21_W1
     # read-only: asking twice changes nothing
     assert eng.memo_sizes() == MEMO_SIZES_GRAM_21_W1
+
+
+def test_each_action_entry_is_computed_once(monkeypatch):
+    # every non-vacuum action entry expands one bracket when it is computed, so
+    # a probe that misses a stored entry and recomputes it shows up as a call
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return matrix_bracket_terms(*args)
+
+    monkeypatch.setattr(form, "matrix_bracket_terms", counting)
+    eng = WordEngine()
+    _sweep(eng, LEVEL2_WORDS)
+    entries = sum(len(row) - (0 in row) for row in eng._act_rows)
+    assert len(calls) == entries == 6174
+    _sweep(eng, LEVEL2_WORDS)
+    assert len(calls) == entries
+
+
+def test_packed_keys_stay_far_from_aliasing():
+    # products add packed keys unchecked, so a mu degree of 2^MU_BITS would
+    # carry into q; the engine's degrees stay at k + l, one per peeled factor
+    eng = WordEngine()
+    for k in range(4):
+        for l in range(4 - k):
+            g = eng.gram((k, l), window=1)
+            degs = [unpack_key(key)[1] for _, rows in g.blocks
+                    for row in rows for x in row for key in x]
+            assert degs and max(degs) <= k + l
+    degs = [unpack_key(key)[1] for c in _act_coefficients(eng) for key in c]
+    assert degs and max(degs) <= 1
 
 
 def test_equal_action_coefficients_are_one_object():
