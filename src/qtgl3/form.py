@@ -21,15 +21,15 @@ and cycle structures of the block matrix of paired arguments.  The two
 evaluators agree, and that agreement is part of the test suite.
 
 The action and the defining recursion run on small integer ids: a
-`WordEngine` numbers each word it meets, storing its peel split and its
-lowering step once, and each non-raising operator E_ij(mono) it meets.
-Both memos are tables of rows: the form keeps one dict of nonzero values
-per left word id, keyed by the right word id, plus one bit per computed
-zero, and the action one dict per operator id, keyed by word id, whose
-values are tuples of (word id, coefficient) pairs.  Every caller probes
-a memo in place, by one list index and one small-int dict lookup or bit
-test; `_act` and `_form` run only on a miss, to compute and store one
-entry.  Only the public methods see `Word`s.
+`WordEngine` numbers each word it meets, storing its peel step once, and
+each operator E_ij(mono) it meets.  Both memos are tables of rows: the
+form keeps one dict of nonzero values per left word id, keyed by the
+right word id, plus one bit per computed zero, and the action one dict
+per operator id, keyed by word id, whose values are tuples of (word id,
+coefficient) pairs.  Every caller probes a memo in place, by one list
+index and one small-int dict lookup or bit test; `_act` and `_form` run
+only on a miss, to compute and store one entry.  Only the public methods
+see `Word`s.
 
 The recursions also run on integer polynomials instead of `ScalarPoly`:
 term dicts with `ScalarPoly`'s own keys (see `scalars`) and integer
@@ -139,15 +139,14 @@ class WordEngine:
     """Rewriting engine with per-instance memo tables.
 
     Every word the engine meets is interned into a small integer id (the
-    vacuum is 0), and two steps are stored with it once: its peel split
-    `(side, first_arg, rest_id)`, side 1 for a leading E12 factor and 3
-    for a leading E32 factor, and its lowering step
-    `(op_id, rest_id, shift)`: the omega-image E_{2,side}(-m,-n) of the
-    leading factor E_{side,2}(s^m t^n) as an operator id, and its q^(mn)
-    as the key shift (m*n) << MU_BITS.  Every non-raising operator
-    E_ij(mono) gets an operator id on first use.  The memos are lists of
-    rows, one row per id, that callers probe before they call `_act`,
-    `_form` or `_insert` to compute a missing entry:
+    vacuum is 0), and its peel step is stored with it once:
+    `(raise_op, lower_op, rest_id, shift)`.  `raise_op` is the operator id
+    of its leading factor E_{side,2}(s^m t^n), side 1 for E12 and 3 for
+    E32, `lower_op` that of the factor's omega-image E_{2,side}(-m,-n),
+    and `shift` its q^(mn) as the key shift (m*n) << MU_BITS.  Every
+    operator E_ij(mono) gets an operator id on first use.  The memos are
+    lists of rows, one row per id, that callers probe before they call
+    `_act` or `_form` to compute a missing entry:
 
         _act_rows[op_id]   {word_id: ((word_id, 2 x coefficient), ...)}
         _coeffs            ordered coefficient items -> the one dict holding them
@@ -157,12 +156,11 @@ class WordEngine:
                            to be exactly zero; the shared empty _NO_ZEROS
                            until the row's first zero
         _is_rest[u_id]     1 once u is the peel rest of some interned word
-        _insert_cache      (word_id, side, arg) -> id of the word with the
-                           factor E12(arg) (side 1) or E32(arg) (side 3) added
 
-    The raising operators E12 and E32 have no row: they only add a factor,
-    through `_insert`.  Coefficients and form values in these tables are
-    integer polynomials, doubled as the module docstring explains: they
+    A raising operator E12 or E32 only adds a factor: its entry is the
+    one pair (id of the word with the factor added, interned 2).
+    Coefficients and form values in these tables are integer
+    polynomials, doubled as the module docstring explains: they
     share `ScalarPoly`'s term keys and differ only in their integer
     coefficients, which `act_mono` and `form_words` rescale into
     `ScalarPoly`s (`int_poly_scalar`).  A `gram` keeps the form memo's
@@ -178,16 +176,14 @@ class WordEngine:
     combinatorial evaluator keeps its own tables, `_comb_tables` (entry
     patterns and cycle lists per level) and `_comb_weights` (word ->
     weight).  The public methods take and return `Word`s.  Words,
-    operators, action entries, interned coefficients, factor inserts, and
-    the rows and bits of rests grow for the life of the engine; a fresh
-    engine bounds them.
+    operators, action entries, interned coefficients, and the rows and bits
+    of rests grow for the life of the engine; a fresh engine bounds them.
     """
 
     def __init__(self):
         self._ids = {VACUUM: 0}
         self._words = [VACUUM]
-        self._peel = [None]
-        self._lower = [None]
+        self._steps = [None]
         self._form_rows = [{}]
         self._zero_rows = [_NO_ZEROS]
         self._is_rest = bytearray(1)
@@ -195,24 +191,22 @@ class WordEngine:
         self._ops = []
         self._act_rows = []
         self._coeffs = {}
-        self._insert_cache = {}
         self._comb_tables = {}
         self._comb_weights = {}
 
     def memo_sizes(self):
         """Table sizes now: words, operators, memo entries (a form entry is a
-        nonzero value or a zero bit), interned coefficients, factor inserts."""
+        nonzero value or a zero bit), interned coefficients."""
         return {"words": len(self._words), "operators": len(self._ops),
                 "form_entries": sum(map(len, self._form_rows))
                 + sum(int.from_bytes(z, "little").bit_count() for z in self._zero_rows),
                 "act_entries": sum(map(len, self._act_rows)),
-                "interned": len(self._coeffs), "inserts": len(self._insert_cache)}
+                "interned": len(self._coeffs)}
 
     # -- word and operator ids ----------------------------------------------
 
     def _intern(self, word):
-        """Id of a word; the first sighting records it, its peel split, its
-        lowering step and its form rows."""
+        """Id of a word; the first sighting records it, its step and its form rows."""
         wid = self._ids.get(word)
         if wid is None:
             if word.e12:
@@ -222,10 +216,10 @@ class WordEngine:
             wid = len(self._words)
             self._ids[word] = wid
             self._words.append(word)
-            self._peel.append((side, arg, rest))
             # omega(E12(s^m t^n)) = -q^(mn) E21(s^-m t^-n), same shape for E32/E23
             m, n = arg
-            self._lower.append((self._op(2, side, (-m, -n)), rest, (m * n) << MU_BITS))
+            self._steps.append((self._op(side, 2, arg), self._op(2, side, (-m, -n)),
+                                rest, (m * n) << MU_BITS))
             self._form_rows.append({})
             self._zero_rows.append(_NO_ZEROS)
             self._is_rest.append(0)
@@ -233,7 +227,7 @@ class WordEngine:
         return wid
 
     def _op(self, i, j, mono):
-        """Id of the non-raising operator E_ij(mono); the first sighting adds its row."""
+        """Id of the operator E_ij(mono); the first sighting adds its row."""
         key = (i, j, mono)
         op = self._op_ids.get(key)
         if op is None:
@@ -242,36 +236,28 @@ class WordEngine:
             self._act_rows.append({})
         return op
 
-    def _insert(self, wid, side, arg):
-        """Id of word `wid` times E12(arg) (side 1) or E32(arg) (side 3), re-sorted,
-        stored in `_insert_cache`, which callers probe first."""
-        w = self._words[wid]
-        w = make_word(w.e12 + (arg,), w.e32) if side == 1 else make_word(w.e12, w.e32 + (arg,))
-        res = self._insert_cache[(wid, side, arg)] = self._intern(w)
-        return res
-
     # -- action ---------------------------------------------------------
 
     def act_mono(self, i, j, mono, word):
         """E_ij(s^m t^n) . word expanded in the word basis (central terms dropped)."""
         wid = self._intern(word)
-        if j == 2 and i != 2:  # E12, E32 just add a factor; side = i
-            w = self._insert_cache.get((wid, i, mono)) or self._insert(wid, i, mono)
-            pairs = ((w, _ITWO),)
-        else:
-            op = self._op(i, j, mono)
-            pairs = self._act_rows[op].get(wid)
-            if pairs is None:
-                pairs = self._act(op, wid)
+        op = self._op(i, j, mono)
+        pairs = self._act_rows[op].get(wid)
+        if pairs is None:
+            pairs = self._act(op, wid)
         words = self._words
         return {words[w]: int_poly_scalar(c, 2) for w, c in pairs}
 
     def _act(self, op, wid):
-        """2 E_ij(mono) . word `wid` as (word id, integer polynomial) pairs,
-        for the non-raising operator E_ij(mono) of id `op`; () if none.
-        Computes and stores the entry: callers probe `_act_rows[op]` first."""
+        """2 E_ij(mono) . word `wid` as (word id, integer polynomial) pairs, for
+        the operator E_ij(mono) of id `op`; () if none.  Computes and stores
+        the entry: callers probe `_act_rows[op]` first."""
         i, j, mono = self._ops[op]
-        if not wid:
+        if j == 2 and i != 2:  # E12, E32 just add a factor; side = i
+            w = self._words[wid]
+            w = make_word(w.e12 + (mono,), w.e32) if i == 1 else make_word(w.e12, w.e32 + (mono,))
+            res = ((self._intern(w), self._coeffs.setdefault(((0, 2),), _ITWO)),)
+        elif not wid:
             if i == j and mono == (0, 0):
                 # 2 E_ii(1).1 = mu for E11 and E33, -mu for E22
                 c = _IMINUS_MU if i == 2 else _IMU
@@ -280,30 +266,31 @@ class WordEngine:
                 res = ()
         else:
             # E_ij(a) g(b) rest = g(b) E_ij(a) rest + [E_ij(a), g(b)] rest
-            side, garg, rest = self._peel[wid]
-            act_rows, op_ids, inserts = self._act_rows, self._op_ids, self._insert_cache
+            raise_op, _, rest, _ = self._steps[wid]
+            side, _, garg = self._ops[raise_op]
+            act_rows, op_ids = self._act_rows, self._op_ids
             pairs = act_rows[op].get(rest)
             if pairs is None:
                 pairs = self._act(op, rest)
             # adding one fixed factor is injective on words (no keys collide), never id 0
+            raised = act_rows[raise_op]
             terms = {}
             for w, c in pairs:
-                terms[inserts.get((w, side, garg)) or self._insert(w, side, garg)] = c
+                g = raised.get(w)
+                if g is None:
+                    g = self._act(raise_op, w)
+                terms[g[0][0]] = c
             merged = {}  # word -> its coefficient in terms, as a scratch dict
             # looked up in this module at call time, so it can be wrapped
             for (i2, j2, mono2, sign, e) in matrix_bracket_terms(
                 i, j, mono[0], mono[1], side, 2, garg[0], garg[1]
             ):
-                if j2 == 2 and i2 != 2:  # E12, E32 just add a factor; side = i2
-                    pairs = ((inserts.get((rest, i2, mono2))
-                              or self._insert(rest, i2, mono2), _ITWO),)
-                else:
-                    op2 = op_ids.get((i2, j2, mono2))
-                    if op2 is None:
-                        op2 = self._op(i2, j2, mono2)
-                    pairs = act_rows[op2].get(rest)
-                    if pairs is None:
-                        pairs = self._act(op2, rest)
+                op2 = op_ids.get((i2, j2, mono2))
+                if op2 is None:
+                    op2 = self._op(i2, j2, mono2)
+                pairs = act_rows[op2].get(rest)
+                if pairs is None:
+                    pairs = self._act(op2, rest)
                 shift = e << MU_BITS
                 for w, c in pairs:
                     new = merged.get(w)
@@ -378,7 +365,7 @@ class WordEngine:
         else:
             # (g u', v) = (u', omega(g) v); each doubled action coefficient
             # carries one factor 2 of 2^(k+l)
-            op, rest, shift = self._lower[uid]
+            _, op, rest, shift = self._steps[uid]
             pairs = self._act_rows[op].get(vid)
             if pairs is None:
                 pairs = self._act(op, vid)

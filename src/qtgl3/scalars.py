@@ -222,6 +222,12 @@ class SparseSum:
             return NotImplemented
         return self.terms == other.terms
 
+    def __ne__(self, other):
+        # direct, as `x != y` through object.__ne__ would call __eq__ from Python
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms != other.terms
+
     def __repr__(self):
         return f"<{type(self).__name__} {self}>"
 

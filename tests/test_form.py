@@ -606,6 +606,16 @@ def _act_coefficients(eng):
     return [c for row in eng._act_rows for pairs in row.values() for _, c in pairs]
 
 
+def _is_raising(op):
+    i, j, _ = op
+    return j == 2 and i != 2
+
+
+def _non_raising_rows(eng):
+    """(operator, row) of every operator other than E12 and E32, in id order."""
+    return [(op, row) for op, row in zip(eng._ops, eng._act_rows) if not _is_raising(op)]
+
+
 def _zero_pairs(eng):
     """The (u id, v id) pairs whose form value was computed to be exactly zero."""
     return [(u, v) for u, zeros in enumerate(eng._zero_rows)
@@ -614,14 +624,14 @@ def _zero_pairs(eng):
 
 # `memo_sizes()` after `gram((2, 1), window=1)` on a fresh engine (`gram`
 # keeps every form entry it computes)
-MEMO_SIZES_GRAM_21_W1 = {"words": 430, "operators": 136, "form_entries": 5028,
-                         "act_entries": 4400, "interned": 85, "inserts": 236}
+MEMO_SIZES_GRAM_21_W1 = {"words": 430, "operators": 196, "form_entries": 5028,
+                         "act_entries": 4636, "interned": 85}
 
 
 def test_memo_sizes_are_pinned():
     eng = WordEngine()
     assert eng.memo_sizes() == {"words": 1, "operators": 0, "form_entries": 0,
-                                "act_entries": 0, "interned": 0, "inserts": 0}
+                                "act_entries": 0, "interned": 0}
     eng.gram((2, 1), window=1)
     assert eng.memo_sizes() == MEMO_SIZES_GRAM_21_W1
     # read-only: asking twice changes nothing
@@ -629,8 +639,9 @@ def test_memo_sizes_are_pinned():
 
 
 def test_each_action_entry_is_computed_once(monkeypatch):
-    # every non-vacuum action entry expands one bracket when it is computed, so
-    # a probe that misses a stored entry and recomputes it shows up as a call
+    # every non-vacuum entry of a non-raising operator expands one bracket when
+    # it is computed, so a probe that misses a stored entry and recomputes it
+    # shows up as a call; a raising entry only adds a factor
     calls = []
 
     def counting(*args):
@@ -640,10 +651,29 @@ def test_each_action_entry_is_computed_once(monkeypatch):
     monkeypatch.setattr(form, "matrix_bracket_terms", counting)
     eng = WordEngine()
     _sweep(eng, LEVEL2_WORDS)
-    entries = sum(len(row) - (0 in row) for row in eng._act_rows)
+    entries = sum(len(row) - (0 in row) for _, row in _non_raising_rows(eng))
     assert len(calls) == entries == 6174
     _sweep(eng, LEVEL2_WORDS)
     assert len(calls) == entries
+
+
+def test_raising_rows_add_one_factor():
+    eng = WordEngine()
+    _sweep(eng, LEVEL3_SAMPLE)
+    two = eng._coeffs[((0, 2),)]
+    raising = [(op, wid, pairs) for op, row in zip(eng._ops, eng._act_rows)
+               if _is_raising(op) for wid, pairs in row.items()]
+    assert raising and any(wid for _, wid, _ in raising)  # non-vacuum words too
+    for (side, _, arg), wid, pairs in raising:
+        w = eng._words[wid]
+        inserted = (make_word(w.e12 + (arg,), w.e32) if side == 1
+                    else make_word(w.e12, w.e32 + (arg,)))
+        assert pairs == ((eng._ids[inserted], two),) and pairs[0][1] is two
+        assert eng.act_mono(side, 2, arg, w) == {inserted: ONE}
+    # a second sweep finds every entry it needs, raising or not
+    entries = eng.memo_sizes()["act_entries"]
+    _sweep(eng, LEVEL3_SAMPLE)
+    assert eng.memo_sizes()["act_entries"] == entries
 
 
 def test_packed_keys_stay_far_from_aliasing():
@@ -711,12 +741,14 @@ def test_zero_bits_are_sound():
         assert fresh.form_combinatorial(u, v) is ZERO
 
 
-# SHA-256 of the memo contents in stored order: every action entry as
-# (operator id, word id, its pairs, each coefficient as its items), every
-# nonzero form value as (u id, v id, its items), and the sorted (u id, v id)
-# pairs computed to be zero.  Recorded when the memos still stored zeros as
-# empty dicts and action results as dicts, so the compact memos hold the
-# same values in the same order.
+# SHA-256 of the memo contents in stored order: every action entry of a
+# non-raising operator as (operator id, word id, its pairs, each coefficient
+# as its items), every nonzero form value as (u id, v id, its items), and the
+# sorted (u id, v id) pairs computed to be zero.  Operator ids count only the
+# non-raising operators, in order of first sighting.  Recorded when the memos
+# still stored zeros as empty dicts, action results as dicts, and the raising
+# operators E12 and E32 had no ids or rows, so the memos hold the same values
+# in the same order.
 PINNED_MEMO_CONTENTS = {
     "gram_21_w1": {
         "act": "ee9159ae7b8b8ce2b8910f71364f2c4c141a7eab8fc4a1e6b045e4f10e9007b7",
@@ -739,7 +771,8 @@ def test_memo_term_order_is_pinned(case):
     else:
         _sweep(eng, LEVEL3_SAMPLE)
     acts = [(op, wid, [(w, tuple(c.items())) for w, c in pairs])
-            for op, row in enumerate(eng._act_rows) for wid, pairs in row.items()]
+            for op, (_, row) in enumerate(_non_raising_rows(eng))
+            for wid, pairs in row.items()]
     forms = [(uid, vid, tuple(x.items()))
              for uid, row in enumerate(eng._form_rows) for vid, x in row.items()]
     got = {name: hashlib.sha256(repr(x).encode()).hexdigest()

@@ -383,6 +383,19 @@ def test_sparse_sum_term_order(cls, data):
         assert list((a - b).terms) == _reference_key_order(a, b, True)
 
 
+@given(sparse_pairs(), sparse_pairs())
+@settings(max_examples=60, deadline=None)
+def test_sparse_sum_ne_is_not_eq(case, other):
+    # SparseSum has its own __ne__: within a kind it negates ==, across kinds
+    # it defers like __eq__, so x != y stays True
+    _, x, y, _ = case
+    for a, b in ((x, y), (x, x), (x, x + y - y), (y, -y), (x.zero(), -x.zero())):
+        assert (a != b) is (not a == b)
+    z = other[1]
+    if type(z) is not type(x):
+        assert (x != z) is True and (z != x) is True
+
+
 def test_sparse_sums_of_different_kinds_never_compare_equal():
     # one key for every kind, so only the kinds differ: q·μ for ScalarPoly,
     # and the other kinds take any hashable key here
