@@ -53,6 +53,15 @@ def _basis_spec(args):
     return None, _parse_pair(args.constraint, "constraint")
 
 
+def _gram_builder(args):
+    """Validate --window/--constraint, then --level, and return the function
+    that builds the Gram they ask for: a command validates its own arguments
+    in between, so every usage error comes before the Gram is built."""
+    window, constraint = _basis_spec(args)
+    level = _parse_pair(args.level, "level")
+    return lambda: WordEngine().gram(level, window=window, constraint=constraint)
+
+
 def _parse_theta(text):
     try:
         return Fraction(text)
@@ -164,10 +173,7 @@ def cmd_verify_brackets(args):
 
 
 def cmd_gram(args):
-    window, constraint = _basis_spec(args)
-    engine = WordEngine()
-    level = _parse_pair(args.level, "level")
-    g = engine.gram(level, window=window, constraint=constraint)
+    g = _gram_builder(args)()
     with _output(args.out) as fh:
         write_gram_json(g, fh)
     return 0
@@ -212,16 +218,9 @@ def cmd_form_crosscheck(args):
 
 
 def cmd_unitarity_scan(args):
-    window, constraint = _basis_spec(args)
-    engine = WordEngine()
-    report = unitarity.mu_scan(
-        engine,
-        _parse_pair(args.level, "level"),
-        _parse_theta(args.theta),
-        _parse_mu_grid(args.mu),
-        window=window,
-        constraint=constraint,
-    )
+    build_gram = _gram_builder(args)
+    theta, mu_grid = _parse_theta(args.theta), _parse_mu_grid(args.mu)
+    report = unitarity.mu_scan(build_gram(), theta, mu_grid)
     _emit(report.to_json(), args.out)
     return 0
 

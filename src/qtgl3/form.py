@@ -307,31 +307,24 @@ class WordEngine:
         self._act_rows[op][wid] = res
         return res
 
-    def act_d(self, which, combo):
-        """d_s (which=1) or d_t (which=2) action; words are weight eigenvectors."""
-        out = {}
-        for word, wc in combo.items():
-            w = word_weight(word)[which - 1]
-            if w:
-                accumulate(out, word, wc * w)
-        return out
-
     def act_element(self, x, combo):
-        """x.combo for a GlElement x; the central symbols act as 0."""
+        """x.combo for a GlElement x.  E_ij(s^m t^n) acts by `act_mono`; d_s and
+        d_t scale each word by its s or t weight (`word_weight`), so they drop
+        weight-zero words; the central symbols act as 0."""
         out = {}
         for sym, c in x.terms.items():
+            part = {}
             if sym[0] == "E":
                 _, i, j, m, n = sym
-                part = {}
                 for word, wc in combo.items():
                     for w, cc in self.act_mono(i, j, (m, n), word).items():
                         accumulate(part, w, wc * cc)
-            elif sym[0] == "ds":
-                part = self.act_d(1, combo)
-            elif sym[0] == "dt":
-                part = self.act_d(2, combo)
-            else:
-                continue
+            elif sym[0] in ("ds", "dt"):
+                axis = sym[0] == "dt"
+                for word, wc in combo.items():
+                    weight = word_weight(word)[axis]
+                    if weight:
+                        accumulate(part, word, wc * weight)
             for w, cc in part.items():
                 accumulate(out, w, c * cc)
         return out
@@ -569,6 +562,8 @@ def enumerate_words(level, window=None, constraint=None):
         e32s = list(itertools.combinations_with_replacement(args, l))
         return [Word(a, b) for a in e12s for b in e32s]
     m_max, n_max = constraint
+    if m_max < 0 or n_max < 0:
+        raise ValueError("constraint must be nonnegative")
     args = [(m, n) for m in range(m_max + 1) for n in range(n_max + 1)]
     out = []
     for a in itertools.combinations_with_replacement(args, k):

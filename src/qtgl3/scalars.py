@@ -15,7 +15,7 @@ The term q^e mu^d has one key in the whole package, the int
 keys.  `ScalarPoly`, the word engine's integer polynomials (`form`) and
 compiled Gram arrays (`unitarity`) all use it; `unpack_key` decodes it.
 Products add keys without a check, so a degree that reached 2^MU_BITS
-would carry into q: the constructors (`ScalarPoly.term`) are the only
+would carry into q: the constructor `ScalarPoly.term` is the only
 range check.  The degrees stay small: at most k + l at level (k, l).
 
 `SparseSum` is the term algebra of all four sparse sums in the package:
@@ -263,24 +263,8 @@ class ScalarPoly(SparseSum):
         return ONE
 
     @classmethod
-    def from_rational(cls, x):
-        return cls.gaussian(x, 0)
-
-    @classmethod
-    def gaussian(cls, re, im=0):
-        c = GaussianRational(re, im)
-        return cls._raw({0: c} if c else {})
-
-    @classmethod
-    def q_power(cls, e):
-        return cls._raw({e << MU_BITS: G_ONE})
-
-    @classmethod
-    def mu_power(cls, d):
-        return cls.term(G_ONE, mu_deg=d)
-
-    @classmethod
     def term(cls, coeff, q_exp=0, mu_deg=0):
+        """coeff * q^q_exp * mu^mu_deg, for a rational or `GaussianRational` coeff."""
         if not 0 <= mu_deg <= MU_MASK:
             raise ValueError(f"mu degree {mu_deg} is outside [0, 2^{MU_BITS})")
         c = coeff if isinstance(coeff, GaussianRational) else GaussianRational(coeff)
@@ -392,7 +376,7 @@ HALF_MU = ScalarPoly._raw({1: GaussianRational(Fraction(1, 2))})
 @functools.cache
 def q_pow(e):
     """q^e as a ScalarPoly, one shared instance per exponent; q^0 is `ONE`."""
-    return ScalarPoly.q_power(e) if e else ONE
+    return ScalarPoly._raw({e << MU_BITS: G_ONE}) if e else ONE
 
 
 @functools.cache

@@ -9,6 +9,11 @@ its D mu degrees, once per theta.  `at_mu(stacks, mu)` forms
 sum_d mu^d G_d at a real mu and symmetrizes it into hermitian
 (index, stack) blocks, and `min_eigenvalue(blocks)` reads positive
 definiteness off each stack's smallest eigenvalue.
+
+Every entry point takes a Gram the caller built (`WordEngine.gram`, or
+by hand) and never calls the word engine: `mu_scan(gram, theta, mu_grid)`
+reads the level and the window or constraint from the Gram, so one Gram
+serves any number of thetas.
 """
 
 from __future__ import annotations
@@ -162,15 +167,15 @@ class ScanReport:
         return out
 
 
-def mu_scan(engine, level, theta, mu_grid, window=None, constraint=None):
-    """Positive-definiteness report over a mu grid at fixed theta."""
+def mu_scan(gram, theta, mu_grid):
+    """Positive-definiteness report of a Gram over a mu grid at fixed theta;
+    the level and the window or constraint are the Gram's own."""
     theta = Fraction(theta)
-    gram = engine.gram(level, window=window, constraint=constraint)
     tol = PD_TOLERANCE * len(gram.basis)
     stacks = evaluate(compile_gram(gram), theta)
     samples = []
     for mu in sorted(float(m) for m in mu_grid):
         eig = min_eigenvalue(at_mu(stacks, mu))
         samples.append((mu, eig, bool(eig > tol)))
-    return ScanReport(level=tuple(level), window=gram.window, theta=theta,
+    return ScanReport(level=tuple(gram.level), window=gram.window, theta=theta,
                       samples=samples, constraint=gram.constraint)

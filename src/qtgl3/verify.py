@@ -101,11 +101,7 @@ def rand_config(rng):
             for pt in (k1_point(m, n), km1_point(m, n)):
                 a = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
                 c = Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
-                entries[pt] = (
-                    ScalarPoly.from_rational(a),
-                    ScalarPoly.from_rational(c),
-                    ScalarPoly.from_rational(1 / a),
-                )
+                entries[pt] = (ScalarPoly.term(a), ScalarPoly.term(c), ScalarPoly.term(1 / a))
     return FreeFieldConfig(entries)
 
 

@@ -78,9 +78,9 @@ def test_criterion_3_contravariance(engine):
                     rhs = engine.form({u: ONE}, engine.act_element(omega(g), {v: ONE}))
                     assert lhs == rhs, (word_str(u), word_str(v), i, j, mono)
                     checks += 1
-        for which in (1, 2):
-            lhs = engine.form(engine.act_d(which, {u: ONE}), {v: ONE})
-            rhs = engine.form({u: ONE}, engine.act_d(which, {v: ONE}))
+        for d in (GlElement.d_s(), GlElement.d_t()):
+            lhs = engine.form(engine.act_element(d, {u: ONE}), {v: ONE})
+            rhs = engine.form({u: ONE}, engine.act_element(d, {v: ONE}))
             assert lhs == rhs
             checks += 1
     rng = random.Random(3)

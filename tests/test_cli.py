@@ -111,6 +111,28 @@ def test_usage_errors_exit_two():
     assert run_cli("gram").returncode == 2  # --level is required
 
 
+def test_usage_errors_come_before_the_gram(monkeypatch, capsys):
+    # validated in order: window or constraint, level, theta, mu; no Gram is built
+    def no_gram(*args, **kwargs):
+        raise AssertionError("a Gram was built")
+
+    monkeypatch.setattr(WordEngine, "gram", no_gram)
+    scan = ["unitarity-scan", "--level"]
+    cases = [
+        (["gram", "--level", "x", "--window=-1"], "window must be nonnegative"),
+        (["gram", "--level", "x", "--constraint", "1,1"], "bad level 'x'"),
+        (scan + ["x", "--window=-1", "--theta", "x", "--mu", "y"], "window must be nonnegative"),
+        (scan + ["x", "--constraint=-1,0", "--theta", "x", "--mu", "y"],
+         "constraint components must be nonnegative"),
+        (scan + ["x", "--theta", "x", "--mu", "y"], "bad level 'x'"),
+        (scan + ["1,0", "--theta", "x", "--mu", "y"], "bad theta 'x'"),
+        (scan + ["1,0", "--theta", "1/3", "--mu", "y"], "bad mu grid 'y'"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_io_error_exit_one(tmp_path):
     res = run_cli("gram", "--level", "0,0", "--window", "0",
                   "--out", str(tmp_path / "missing" / "g.json"))

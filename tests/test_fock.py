@@ -46,27 +46,27 @@ def test_point_classes():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        FreeFieldConfig({(1, 1): (ScalarPoly.from_rational(2), ScalarPoly.zero(), ONE)})
+        FreeFieldConfig({(1, 1): (ScalarPoly.term(2), ScalarPoly.zero(), ONE)})
     cfg = FreeFieldConfig(
-        {(1, 1): (ScalarPoly.from_rational(2), ONE, ScalarPoly.from_rational(Fraction(1, 2)))}
+        {(1, 1): (ScalarPoly.term(2), ONE, ScalarPoly.term(Fraction(1, 2)))}
     )
-    assert cfg.triple((1, 1))[0] == ScalarPoly.from_rational(2)
+    assert cfg.triple((1, 1))[0] == ScalarPoly.term(2)
     assert cfg.triple((4, 4)) == (ONE, ScalarPoly.zero(), ONE)
 
 
 def test_apply_p_examples():
     assert apply_P((1, 1), X11) == FockPoly.one()
     assert apply_P((1, 1), FockPoly.one()).is_zero()
-    assert apply_P((1, 1), X11 * X11) == X11.scale(ScalarPoly.from_rational(2))
+    assert apply_P((1, 1), X11 * X11) == X11.scale(ScalarPoly.term(2))
 
 
 def test_apply_q_examples():
     assert apply_Q((1, 1), FockPoly.one()) == X11
     cfg = FreeFieldConfig(
-        {(1, 1): (ScalarPoly.from_rational(2), ONE, ScalarPoly.from_rational(Fraction(1, 2)))}
+        {(1, 1): (ScalarPoly.term(2), ONE, ScalarPoly.term(Fraction(1, 2)))}
     )
     got = apply_Q((1, 1), X11, cfg)
-    want = FockPoly.one() + (X11 * X11).scale(ScalarPoly.from_rational(Fraction(1, 2)))
+    want = FockPoly.one() + (X11 * X11).scale(ScalarPoly.term(Fraction(1, 2)))
     assert got == want
 
 
@@ -126,7 +126,7 @@ def test_pi_kills_central_elements():
 def test_pi_cartan_pair_on_variable():
     x = bracket(GlElement.matrix(1, 2, (0, 0)), GlElement.matrix(2, 1, (0, 0)))
     got = pi(x, X11)
-    assert got == X11.scale(ScalarPoly.from_rational(2) + MU)
+    assert got == X11.scale(ScalarPoly.term(2) + MU)
 
 
 def test_pi_is_a_homomorphism_sampled():

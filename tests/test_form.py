@@ -123,7 +123,7 @@ def test_form_derived_values_both_evaluators(engine):
 
 def test_form_level_two_pure(engine):
     w = make_word([(0, 0), (0, 0)], [])
-    two = ScalarPoly.from_rational(2)
+    two = ScalarPoly.term(2)
     assert engine.form_words(w, w) == two * MU * MU + two * MU
     assert engine.form_combinatorial(w, w) == two * MU * MU + two * MU
 
@@ -133,7 +133,7 @@ def test_rejected_class_convention_fails_at_level_two(engine):
     good = engine.form_combinatorial(W_11, W_11)
     bad = engine.form_combinatorial(W_11, W_11, identify_block_order=False)
     assert good == MU * MU + MU
-    assert bad == ScalarPoly.from_rational(2) * MU * MU + MU
+    assert bad == ScalarPoly.term(2) * MU * MU + MU
     assert bad != engine.form_words(W_11, W_11)
 
 
@@ -194,16 +194,16 @@ def test_contravariance_sampled(engine):
         lhs = engine.form(engine.act_element(g, {u: ONE}), {v: ONE})
         rhs = engine.form({u: ONE}, engine.act_element(omega(g), {v: ONE}))
         assert lhs == rhs
-    for which in (1, 2):
+    for d in (GlElement.d_s(), GlElement.d_t()):
         for _ in range(40):
             u, v = rng.choice(words), rng.choice(words)
-            lhs = engine.form(engine.act_d(which, {u: ONE}), {v: ONE})
-            rhs = engine.form({u: ONE}, engine.act_d(which, {v: ONE}))
+            lhs = engine.form(engine.act_element(d, {u: ONE}), {v: ONE})
+            rhs = engine.form({u: ONE}, engine.act_element(d, {v: ONE}))
             assert lhs == rhs
 
 
 def test_form_is_sesquilinear(engine):
-    i_c = ScalarPoly.gaussian(0, 1)
+    i_c = ScalarPoly.term(GaussianRational(0, 1))
     u = combo((W_E12, i_c))
     v = combo((W_E12, ONE))
     assert engine.form(u, v) == -i_c * MU
@@ -313,7 +313,7 @@ def test_small_mu_indefiniteness_witness_for_nonreal_q(engine):
     0 < mu < 2 sin(2 pi theta).  Positivity of every truncation for all
     mu > 0 therefore holds only at q = 1.
     """
-    i_c = ScalarPoly.gaussian(0, 1)
+    i_c = ScalarPoly.term(GaussianRational(0, 1))
     z = {
         make_word([(1, 0)], [(-1, 0)]): ONE,
         make_word([(-1, 0)], [(1, 0)]): -ONE,
@@ -321,7 +321,7 @@ def test_small_mu_indefiniteness_witness_for_nonreal_q(engine):
         make_word([(0, -1)], [(0, 1)]): -i_c,
     }
     val = engine.form(z, z)
-    four = ScalarPoly.from_rational(4)
+    four = ScalarPoly.term(4)
     want = four * MU * MU + four * i_c * (q_pow(1) - q_pow(-1)) * MU
     assert val == want
     at_i = val.evaluate(Fraction(1, 4), 1.0)  # q = i, mu = 1
@@ -353,6 +353,16 @@ def test_enumerate_words_constraint_mode():
         enumerate_words((1, 0), window=1, constraint=(1, 1))
     with pytest.raises(ValueError):
         enumerate_words((1, 0))
+
+
+@pytest.mark.parametrize("constraint", [(-1, 0), (0, -1), (-2, -3)])
+def test_enumerate_words_rejects_a_negative_constraint(constraint):
+    # a negative budget would leave the basis empty, and every consumer assumes a word
+    with pytest.raises(ValueError, match="constraint must be nonnegative"):
+        enumerate_words((1, 0), constraint=constraint)
+    with pytest.raises(ValueError, match="window must be nonnegative"):
+        enumerate_words((1, 0), window=-1)
+    assert enumerate_words((0, 0), constraint=(0, 0)) == [VACUUM]
 
 
 def test_word_str_format():
@@ -494,10 +504,10 @@ def test_gram_keeps_no_copy_of_the_form_memo():
 def test_act_element_sums_its_symbols():
     # E21(s^-2) lowers E12(s^2).1 to -mu.1, d_s scales by the s-weight 2, central symbols act as 0
     w = make_word([(2, 0)], [])
-    two = ScalarPoly.from_rational(2)
+    two = ScalarPoly.term(2)
     x = GlElement.matrix(2, 1, (-2, 0)) + GlElement.d_s(two) + GlElement.c_s()
     eng = WordEngine()
-    assert eng.act_element(x, {w: ONE}) == {VACUUM: -MU, w: ScalarPoly.from_rational(4)}
+    assert eng.act_element(x, {w: ONE}) == {VACUUM: -MU, w: ScalarPoly.term(4)}
     assert eng.act_element(GlElement.c_t() + GlElement.d_t(), {w: ONE}) == {}
 
 
@@ -580,7 +590,7 @@ def test_int_poly_scalar_keeps_keys_and_order():
 def test_vacuum_half_mu_mixes_denominators():
     # E11(1).E12(a).1 = E12(a) E11(1).1 + [E11(1), E12(a)].1 = (1 + mu/2) E12(a).1
     eng = WordEngine()
-    half = ScalarPoly.from_rational(Fraction(1, 2))
+    half = ScalarPoly.term(Fraction(1, 2))
     for a in ((0, 0), (1, -1), (2, 3)):
         w = make_word([a], [])
         assert eng.act_mono(1, 1, (0, 0), w) == {w: ONE + half * MU}

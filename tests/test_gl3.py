@@ -1,7 +1,7 @@
 import random
 
 from qtgl3.gl3 import GlElement, bracket, jacobi_residual, omega
-from qtgl3.scalars import ScalarPoly, q_pow
+from qtgl3.scalars import GaussianRational, ScalarPoly, q_pow
 from qtgl3.torus import TorusElement
 from qtgl3.verify import rand_element
 
@@ -22,7 +22,7 @@ def test_bracket_central_term():
 
 def test_bracket_derivations():
     x = E(1, 2, (2, 1))
-    assert bracket(GlElement.d_s(), x) == x.scale(ScalarPoly.from_rational(2))
+    assert bracket(GlElement.d_s(), x) == x.scale(ScalarPoly.term(2))
     assert bracket(GlElement.d_t(), x) == x
     assert bracket(GlElement.d_s(), GlElement.d_t()).is_zero()
     assert bracket(GlElement.c_s(), x).is_zero()
@@ -59,7 +59,7 @@ def test_omega_examples():
 
 
 def test_omega_antilinear():
-    i_coeff = ScalarPoly.gaussian(0, 1)
+    i_coeff = ScalarPoly.term(GaussianRational(0, 1))
     assert omega(E(1, 1, (0, 0), i_coeff)) == E(1, 1, (0, 0), -i_coeff)
 
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from qtgl3.scalars import ONE, ScalarPoly, q_pow
+from qtgl3.scalars import ONE, GaussianRational, ScalarPoly, q_pow
 from qtgl3.torus import TorusElement, mono_mul
 
 
@@ -65,7 +65,7 @@ def test_mul_associative_random():
     for _ in range(60):
         xs = [
             elem(rng.randint(-2, 2), rng.randint(-2, 2),
-                 ScalarPoly.gaussian(rng.randint(-2, 2), rng.randint(-1, 1)))
+                 ScalarPoly.term(GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1))))
             + elem(rng.randint(-2, 2), rng.randint(-2, 2))
             for _ in range(3)
         ]
@@ -91,15 +91,16 @@ def test_kappa_rotation_invariance():
 
 def test_bar_examples():
     assert TorusElement.one().bar() == TorusElement.one()
-    two_i = ScalarPoly.gaussian(0, 2)
-    assert elem(1, 1, two_i).bar() == elem(-1, -1, ScalarPoly.gaussian(0, -2) * q_pow(1))
+    two_i = ScalarPoly.term(GaussianRational(0, 2))
+    minus_two_i = ScalarPoly.term(GaussianRational(0, -2))
+    assert elem(1, 1, two_i).bar() == elem(-1, -1, minus_two_i * q_pow(1))
 
 
 def test_bar_involution_and_antiautomorphism():
     rng = random.Random(3)
     for _ in range(100):
         x = elem(rng.randint(-2, 2), rng.randint(-2, 2),
-                 ScalarPoly.gaussian(rng.randint(-2, 2), 1)) + elem(
+                 ScalarPoly.term(GaussianRational(rng.randint(-2, 2), 1))) + elem(
             rng.randint(-2, 2), rng.randint(-2, 2)
         )
         y = elem(rng.randint(-2, 2), rng.randint(-2, 2), q_pow(rng.randint(-2, 2)))
@@ -109,7 +110,7 @@ def test_bar_involution_and_antiautomorphism():
 
 def test_degree_maps():
     x = elem(2, 1)
-    assert x.degree_s() == elem(2, 1, ScalarPoly.from_rational(2))
+    assert x.degree_s() == elem(2, 1, ScalarPoly.term(2))
     assert elem(2, 0).degree_t() == TorusElement.zero()
     assert TorusElement.one().degree_s() == TorusElement.zero()
 

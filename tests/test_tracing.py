@@ -25,7 +25,7 @@ def test_tracer_installs_and_uninstalls_cleanly():
         for owner, attr, original in patches:
             assert owner.__dict__[attr] is not original, attr
         # the wrapped scalar sum counts scalar additions and leaves the other sums alone
-        assert ONE + ONE == ScalarPoly.from_rational(2)
+        assert ONE + ONE == ScalarPoly.term(2)
         assert tracer.leaves["scalars.add"].calls == 1
         assert TorusElement.__add__ is SparseSum.__add__
     finally:

@@ -73,6 +73,20 @@ def test_specialize_rejects_nonhermitian_second_block():
     assert stacks.herm_residual == 0.0
 
 
+def test_mu_scan_takes_a_hand_built_gram():
+    # blocks [[mu, 1], [1, mu]] have eigenvalues mu -+ 1, so the minimum is mu - 1
+    g = two_block_gram(ONE)
+    report = unitarity.mu_scan(g, Fraction(1, 7), [2.0, 0.5, 1.0])
+    assert [mu for mu, _, _ in report.samples] == [0.5, 1.0, 2.0]
+    for mu, eig, _ in report.samples:
+        assert abs(eig - (mu - 1)) < 1e-12
+    assert [pd for _, _, pd in report.samples] == [False, False, True]
+    assert (report.level, report.window, report.constraint) == ((1, 0), 0, None)
+    assert report.to_json()["level"] == [1, 0] and report.to_json()["window"] == 0
+    with pytest.raises(ValueError, match="hermiticity"):
+        unitarity.mu_scan(two_block_gram(q_pow(1)), Fraction(1, 7), [1.0])
+
+
 def test_specialize_memory_is_bounded_by_the_blocks():
     # 1,000 1x1 blocks: a dense 1,000 x 1,000 complex matrix would take 16 MB
     n = 1000
@@ -111,39 +125,39 @@ def test_min_eigenvalue_examples():
 
 
 def test_mu_scan_level_one(engine):
-    report = unitarity.mu_scan(engine, (1, 0), Fraction(1, 7), [-1.0, 0.5, 1.0], window=1)
+    report = unitarity.mu_scan(engine.gram((1, 0), window=1), Fraction(1, 7), [-1.0, 0.5, 1.0])
     assert [pd for (_, _, pd) in report.samples] == [False, True, True]
     assert [mu for (mu, _, _) in report.samples] == [-1.0, 0.5, 1.0]
 
 
 def test_mu_scan_vacuum_always_definite(engine):
-    report = unitarity.mu_scan(engine, (0, 0), Fraction(1, 3), [-2.0, 0.0, 3.0], window=1)
+    report = unitarity.mu_scan(engine.gram((0, 0), window=1), Fraction(1, 3), [-2.0, 0.0, 3.0])
     assert all(pd for (_, _, pd) in report.samples)
 
 
 def test_mu_scan_singular_at_zero(engine):
-    report = unitarity.mu_scan(engine, (1, 0), Fraction(0), [0.0], window=1)
+    report = unitarity.mu_scan(engine.gram((1, 0), window=1), Fraction(0), [0.0])
     assert report.samples[0][2] is False
 
 
 def test_mu_scan_mixed_level_signs(engine):
     report = unitarity.mu_scan(
-        engine, (1, 1), Fraction(0), [-1.0, -0.5, 0.5, 1.0, 5.0], window=0
+        engine.gram((1, 1), window=0), Fraction(0), [-1.0, -0.5, 0.5, 1.0, 5.0]
     )
     assert [pd for (_, _, pd) in report.samples] == [False, False, True, True, True]
 
 
 def test_truncated_form_indefinite_for_nonreal_q(engine):
     # regression for the explicit witness: level (1,1), q = exp(2 pi i/3)
-    report = unitarity.mu_scan(engine, (1, 1), Fraction(1, 3), [0.25, 1.0, 5.0], window=1)
+    report = unitarity.mu_scan(engine.gram((1, 1), window=1), Fraction(1, 3), [0.25, 1.0, 5.0])
     flags = [pd for (_, _, pd) in report.samples]
     assert flags == [False, False, True]
-    report0 = unitarity.mu_scan(engine, (1, 1), Fraction(0), [0.25, 1.0, 5.0], window=1)
+    report0 = unitarity.mu_scan(engine.gram((1, 1), window=1), Fraction(0), [0.25, 1.0, 5.0])
     assert all(pd for (_, _, pd) in report0.samples)
 
 
 def test_scan_report_json(engine):
-    report = unitarity.mu_scan(engine, (1, 0), Fraction(1, 7), [1.0, -1.0], window=1)
+    report = unitarity.mu_scan(engine.gram((1, 0), window=1), Fraction(1, 7), [1.0, -1.0])
     js = report.to_json()
     assert js["level"] == [1, 0]
     assert js["window"] == 1
@@ -201,8 +215,7 @@ def test_mu_scan_evaluates_once_per_theta(engine, monkeypatch, level, window, co
     for theta in THETAS:
         monkeypatch.setattr(unitarity, "compile_gram", counting_compile)
         monkeypatch.setattr(unitarity, "evaluate", counting_evaluate)
-        report = unitarity.mu_scan(engine, level, theta, grid, window=window,
-                                   constraint=constraint)
+        report = unitarity.mu_scan(g, theta, grid)
         monkeypatch.setattr(unitarity, "compile_gram", compile_gram)
         monkeypatch.setattr(unitarity, "evaluate", evaluate)
         assert calls == ["compile", theta]
@@ -282,7 +295,7 @@ def test_compile_gram_matches_term_oracle(engine):
 
 def test_eigensolve_uses_the_stored_blocks():
     # the two words differ in weight, yet this hand-built Gram stores them as one block
-    two = ScalarPoly.from_rational(2)
+    two = ScalarPoly.term(2)
     g = hand_gram([make_word([(0, 0)], []), make_word([(1, 0)], [])],
                   [([0, 1], [[ONE, two], [two, ONE]])])
     sg = unitarity.specialize(g, Fraction(1, 7), 1.0)

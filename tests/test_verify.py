@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from qtgl3 import verify
 from qtgl3.gl3 import GlElement
-from qtgl3.scalars import ScalarPoly
+from qtgl3.scalars import GaussianRational, ScalarPoly
 
 
 # The samplers as they were written with Fraction arithmetic and eagerly built
@@ -14,7 +14,7 @@ from qtgl3.scalars import ScalarPoly
 def _fraction_rand_coeff(rng):
     re = Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2]))
     im = Fraction(rng.randint(-2, 2)) if rng.random() < 0.4 else Fraction(0)
-    return ScalarPoly.gaussian(re, im)
+    return ScalarPoly.term(GaussianRational(re, im))
 
 
 def _eager_rand_generator(rng):
