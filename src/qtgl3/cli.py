@@ -59,7 +59,14 @@ def _gram_builder(args):
     in between, so every usage error comes before the Gram is built."""
     window, constraint = _basis_spec(args)
     level = _parse_pair(args.level, "level")
-    return lambda: WordEngine().gram(level, window=window, constraint=constraint)
+
+    def build():
+        try:
+            return WordEngine().gram(level, window=window, constraint=constraint)
+        except RecursionError:  # the engine recurses once per factor of a word
+            raise ConfigError(f"level {args.level} is too deep for the interpreter's "
+                              f"recursion limit ({sys.getrecursionlimit()})") from None
+    return build
 
 
 def _parse_theta(text):

@@ -122,12 +122,6 @@ class FockPoly(SparseSum):
             parts.append(f"[{self.terms[mono]}]{factors}")
         return " + ".join(parts)
 
-    def to_json(self):
-        return [
-            {"monomial": [[pt[0], pt[1], e] for pt, e in mono], "coeff": str(c)}
-            for mono, c in sorted(self.terms.items())
-        ]
-
 
 def _diff(pt, mono, factor, coeff):
     """factor * d/dx_pt of coeff*mono as (monomial, coeff), or None if x_pt is absent."""

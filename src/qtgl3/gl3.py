@@ -18,7 +18,6 @@ everything and [d_s, d_t] = 0.
 from __future__ import annotations
 
 from .scalars import ONE, SparseSum, accumulate, q_pow, signed_q_pow
-from .torus import TorusElement
 
 CS = ("cs",)
 CT = ("ct",)
@@ -51,18 +50,12 @@ class GlElement(SparseSum):
     __slots__ = ()
 
     @classmethod
-    def matrix(cls, i, j, arg, coeff=ONE):
-        """E_ij(arg) for a torus element (or bare monomial pair) arg."""
+    def matrix(cls, i, j, mono, coeff=ONE):
+        """coeff * E_ij(s^m t^n) for the monomial pair mono = (m, n)."""
         if not (1 <= i <= 3 and 1 <= j <= 3):
             raise ValueError(f"matrix indices out of range: ({i}, {j})")
-        if isinstance(arg, tuple):
-            arg = TorusElement.monomial(arg[0], arg[1])
-        terms = {}
-        for (m, n), c in arg.terms.items():
-            cc = coeff * c
-            if cc:
-                terms[("E", i, j, m, n)] = cc
-        return cls._raw(terms)
+        m, n = mono
+        return cls._raw({("E", i, j, m, n): coeff} if coeff else {})
 
     @classmethod
     def c_s(cls, coeff=ONE):
@@ -92,16 +85,6 @@ class GlElement(SparseSum):
             else:
                 parts.append(f"[{c}]·{_SPECIAL_NAMES[sym]}")
         return " + ".join(parts)
-
-    def to_json(self):
-        out = []
-        for sym in sorted(self.terms, key=_sym_sort_key):
-            c = str(self.terms[sym])
-            if sym[0] == "E":
-                out.append(["E", sym[1], sym[2], sym[3], sym[4], c])
-            else:
-                out.append([_SPECIAL_NAMES[sym], c])
-        return out
 
 
 def _sym_sort_key(sym):

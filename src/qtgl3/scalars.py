@@ -102,11 +102,8 @@ class GaussianRational:
     def conjugate(self):
         return GaussianRational._make(self.a, -self.b, self.d)
 
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianRational):
@@ -210,9 +207,6 @@ class SparseSum:
             return self.zero()
         return self._raw({k: coeff * c for k, c in self.terms.items()})
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -246,8 +240,8 @@ class ScalarPoly(SparseSum):
 
     The `SparseSum` with the packed-int term keys of the module docstring
     and `GaussianRational` coefficients.  It adds the ring product,
-    conjugation (q -> q^-1) and numeric evaluation; `zero()` and `one()`
-    return the shared `ZERO` and `ONE`.
+    conjugation (q -> q^-1) and numeric evaluation; `zero()` returns the
+    shared `ZERO`, and the unit is the shared `ONE`.
     """
 
     __slots__ = ()
@@ -257,10 +251,6 @@ class ScalarPoly(SparseSum):
     @classmethod
     def zero(cls):
         return ZERO
-
-    @classmethod
-    def one(cls):
-        return ONE
 
     @classmethod
     def term(cls, coeff, q_exp=0, mu_deg=0):

@@ -21,11 +21,6 @@ def mono_mul(x, y):
     return phase, (x[0] + y[0], x[1] + y[1])
 
 
-def mono_bar(x):
-    """Conjugate monomial: (phase, monomial) with bar(s^m t^n) = q^(mn) s^-m t^-n."""
-    return q_pow(x[0] * x[1]), (-x[0], -x[1])
-
-
 class TorusElement(SparseSum):
     """Finite linear combination of torus monomials with ScalarPoly coefficients."""
 
@@ -55,17 +50,8 @@ class TorusElement(SparseSum):
 
     def bar(self):
         """Antilinear involution: lambda s^m t^n -> conj(lambda) q^(mn) s^-m t^-n."""
-        out = {}
-        for (m, n), c in self.terms.items():
-            phase, z = mono_bar((m, n))
-            out[z] = c.conjugate() * phase
-        return TorusElement._raw(out)
-
-    def degree_s(self):
-        return TorusElement({k: k[0] * c for k, c in self.terms.items()})
-
-    def degree_t(self):
-        return TorusElement({k: k[1] * c for k, c in self.terms.items()})
+        return TorusElement._raw({(-m, -n): c.conjugate() * q_pow(m * n)
+                                  for (m, n), c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -74,7 +60,3 @@ class TorusElement(SparseSum):
         for (m, n) in sorted(self.terms):
             parts.append(f"[{self.terms[(m, n)]}]·s^{m}·t^{n}")
         return " + ".join(parts)
-
-    def to_json(self):
-        """Array-of-terms encoding [[m, n, coeff-string], ...]."""
-        return [[m, n, str(c)] for (m, n), c in sorted(self.terms.items())]

@@ -169,7 +169,8 @@ class ScanReport:
 
 def mu_scan(gram, theta, mu_grid):
     """Positive-definiteness report of a Gram over a mu grid at fixed theta;
-    the level and the window or constraint are the Gram's own."""
+    the level and the window or constraint are the Gram's own.  A sample is
+    pd when its min_eig exceeds PD_TOLERANCE times the basis size."""
     theta = Fraction(theta)
     tol = PD_TOLERANCE * len(gram.basis)
     stacks = evaluate(compile_gram(gram), theta)

@@ -294,6 +294,26 @@ def gram_to_closed_pipe(level, window, nbytes, unbuffered=False):
         proc.stderr.close()
 
 
+def test_a_level_too_deep_for_the_recursion_limit_is_a_usage_error():
+    # one word of 1,000 factors: the word engine recurses once per factor
+    for command in (["gram"], ["unitarity-scan", "--theta", "1/3", "--mu=1"]):
+        res = run_cli(*command, "--level", "1000,0", "--window", "0")
+        assert_usage_error(res)
+        assert res.stderr.startswith("error: level 1000,0 ") and res.stderr.count("\n") == 1
+        assert res.stdout == ""
+
+
+MODULES = ("cli", "fock", "form", "gl3", "scalars", "torus", "unitarity", "verify")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    # a fresh interpreter imports no other qtgl3 module first, so a cycle shows
+    res = subprocess.run([sys.executable, "-c", f"import qtgl3.{module}"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def assert_one_error_line(code, err):
     assert code == 1, err
     assert err.startswith("error:") and err.count("\n") == 1, err

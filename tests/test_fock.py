@@ -56,7 +56,7 @@ def test_config_validation():
 
 def test_apply_p_examples():
     assert apply_P((1, 1), X11) == FockPoly.one()
-    assert apply_P((1, 1), FockPoly.one()).is_zero()
+    assert not apply_P((1, 1), FockPoly.one())
     assert apply_P((1, 1), X11 * X11) == X11.scale(ScalarPoly.term(2))
 
 
@@ -93,23 +93,23 @@ def test_diagonal_generators_on_vacuum():
     assert apply_generator(1, 1, 0, 0, one) == one.scale(HALF_MU)
     assert apply_generator(2, 2, 0, 0, one) == one.scale(-HALF_MU)
     assert apply_generator(3, 3, 0, 0, one) == one.scale(HALF_MU)
-    assert apply_generator(1, 1, 1, 0, one).is_zero()
+    assert not apply_generator(1, 1, 1, 0, one)
 
 
 def test_lowering_generators_kill_vacuum():
     one = FockPoly.one()
     for m in range(-2, 3):
         for n in range(-2, 3):
-            assert apply_generator(2, 1, m, n, one).is_zero()
-            assert apply_generator(2, 3, m, n, one).is_zero()
-            assert apply_generator(3, 1, m, n, one).is_zero()
-            assert apply_generator(1, 3, m, n, one).is_zero()
+            assert not apply_generator(2, 1, m, n, one)
+            assert not apply_generator(2, 3, m, n, one)
+            assert not apply_generator(3, 1, m, n, one)
+            assert not apply_generator(1, 3, m, n, one)
 
 
 def test_degree_operator_eigenvalues():
     x41 = FockPoly.variable((4, 1))
     assert apply_D(1, x41) == x41
-    assert apply_D(1, FockPoly.one()).is_zero()
+    assert not apply_D(1, FockPoly.one())
     v = X11 * FockPoly.variable((2, 2))
     # (1,1) has components (0,0); (2,2) has components (1,1)
     assert apply_D(2, v) == v
@@ -119,8 +119,8 @@ def test_degree_operator_eigenvalues():
 def test_pi_kills_central_elements():
     rng = random.Random(7)
     v = rand_poly(rng)
-    assert pi(GlElement.c_s(), v).is_zero()
-    assert pi(GlElement.c_t(), v).is_zero()
+    assert not pi(GlElement.c_s(), v)
+    assert not pi(GlElement.c_t(), v)
 
 
 def test_pi_cartan_pair_on_variable():
@@ -149,13 +149,6 @@ def test_corrupted_phase_is_detected():
 def test_derivation_relations():
     rep = derivation_suite(samples=40, seed=12)
     assert rep.ok, rep.failures[:1]
-
-
-def test_fock_poly_json():
-    v = (X11 * X11).scale(MU) + FockPoly.variable((-1, -1))
-    js = v.to_json()
-    assert {"monomial": [[1, 1, 2]], "coeff": "(1+0i)·q^0·μ^1"} in js
-    assert {"monomial": [[-1, -1, 1]], "coeff": "(1+0i)·q^0·μ^0"} in js
 
 
 # SHA-256 of the rendered outputs of every operator under two configs;

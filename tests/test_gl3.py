@@ -2,7 +2,6 @@ import random
 
 from qtgl3.gl3 import GlElement, bracket, jacobi_residual, omega
 from qtgl3.scalars import GaussianRational, ScalarPoly, q_pow
-from qtgl3.torus import TorusElement
 from qtgl3.verify import rand_element
 
 E = GlElement.matrix
@@ -24,9 +23,9 @@ def test_bracket_derivations():
     x = E(1, 2, (2, 1))
     assert bracket(GlElement.d_s(), x) == x.scale(ScalarPoly.term(2))
     assert bracket(GlElement.d_t(), x) == x
-    assert bracket(GlElement.d_s(), GlElement.d_t()).is_zero()
-    assert bracket(GlElement.c_s(), x).is_zero()
-    assert bracket(x, GlElement.c_t()).is_zero()
+    assert not bracket(GlElement.d_s(), GlElement.d_t())
+    assert not bracket(GlElement.c_s(), x)
+    assert not bracket(x, GlElement.c_t())
 
 
 def test_bracket_matrix_phases():
@@ -36,19 +35,19 @@ def test_bracket_matrix_phases():
 
 
 def test_jacobi_examples():
-    assert jacobi_residual(
+    assert not jacobi_residual(
         E(1, 2, (1, 0)), E(2, 3, (0, 1)), E(3, 1, (-1, -1))
-    ).is_zero()
+    )
     x, y = E(2, 2, (1, -1)), E(1, 3, (0, 2))
-    assert jacobi_residual(x, x, y).is_zero()
+    assert not jacobi_residual(x, x, y)
 
 
 def test_lie_axioms_random():
     rng = random.Random(11)
     for _ in range(120):
         x, y, z = (rand_element(rng) for _ in range(3))
-        assert (bracket(x, y) + bracket(y, x)).is_zero()
-        assert jacobi_residual(x, y, z).is_zero()
+        assert not (bracket(x, y) + bracket(y, x))
+        assert not jacobi_residual(x, y, z)
 
 
 def test_omega_examples():
@@ -72,15 +71,7 @@ def test_omega_involution_and_antiautomorphism():
         assert omega(bracket(x, y)) == -bracket(omega(x), omega(y))
 
 
-def test_matrix_accepts_torus_elements():
-    arg = TorusElement.monomial(1, 0) + TorusElement.monomial(0, 1, q_pow(2))
-    x = GlElement.matrix(1, 3, arg)
-    assert x == E(1, 3, (1, 0)) + E(1, 3, (0, 1), q_pow(2))
-
-
 def test_rendering_and_json():
     x = E(1, 2, (2, -1)) + GlElement.d_t()
     assert "E12(s^2 t^-1)" in str(x)
     assert "d_t" in str(x)
-    js = x.to_json()
-    assert ["E", 1, 2, 2, -1, "(1+0i)·q^0·μ^0"] in js

@@ -106,15 +106,3 @@ def test_bar_involution_and_antiautomorphism():
         y = elem(rng.randint(-2, 2), rng.randint(-2, 2), q_pow(rng.randint(-2, 2)))
         assert x.bar().bar() == x
         assert (x * y).bar() == y.bar() * x.bar()
-
-
-def test_degree_maps():
-    x = elem(2, 1)
-    assert x.degree_s() == elem(2, 1, ScalarPoly.term(2))
-    assert elem(2, 0).degree_t() == TorusElement.zero()
-    assert TorusElement.one().degree_s() == TorusElement.zero()
-
-
-def test_json_encoding():
-    x = elem(1, -2) + elem(0, 0, q_pow(2))
-    assert x.to_json() == [[0, 0, "(1+0i)·q^2·μ^0"], [1, -2, "(1+0i)·q^0·μ^0"]]
