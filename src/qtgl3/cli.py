@@ -120,14 +120,37 @@ def _emit(obj, out_path):
         fh.write(text)
 
 
-def write_gram_json(g, fh):
+def gram_entry_texts(g):
+    """The encoded JSON string of each distinct entry of a Gram, by entry
+    number.  Every entry is rendered here, before any output is opened: a
+    coefficient with more digits than the interpreter converts to a string
+    (`sys.get_int_max_str_digits()`) is a usage error, and nothing is written."""
+    rendered, texts = {}, []  # values that differ only in term order render alike
+    try:
+        for e in range(len(g.pool)):
+            x = g.pool.poly(e)
+            key = frozenset(x.items())
+            text = rendered.get(key)
+            if text is None:
+                text = rendered[key] = _dumps(str(int_poly_scalar(x, g.scale)))
+            texts.append(text)
+    except ValueError:  # int-to-str conversion past the digit limit
+        level = ",".join(map(str, g.level))
+        raise ConfigError(f"level {level} has a Gram coefficient of more than "
+                          f"{sys.get_int_max_str_digits()} digits, the interpreter's "
+                          f"limit for integer string conversion") from None
+    return texts
+
+
+def write_gram_json(g, texts, fh):
     """Write the dense JSON document of a Gram to `fh`, one row at a time.
 
     The text is what `_emit` writes for {"level", "window", "basis", "entries"}
     (and "constraint" in constraint mode), "entries" being the n x n matrix of
     entry strings, but no n x n grid is built: a row starts as n copies of the
     encoded "0", its weight block is patched in, and the row is joined in one
-    call.  Each distinct entry is rendered once, found by its integer terms.
+    call.  `texts` holds each distinct entry rendered once, by entry number
+    (`gram_entry_texts`).
     """
     doc = {"level": list(g.level), "window": g.window,
            "basis": [word_str(w) for w in g.basis], "entries": None}
@@ -141,17 +164,12 @@ def write_gram_json(g, fh):
     item_sep = ",\n" + step * 3
     zero = _dumps("0")
     n = len(g.basis)
-    rendered = {}
     fh.write(head + '"entries": [')
     sep = ""
-    for cols, entries in g.rows():
+    for cols, numbers in g.rows():
         row = [zero] * n
-        for j, x in zip(cols, entries):
-            key = frozenset(x.items())
-            text = rendered.get(key)
-            if text is None:
-                text = rendered[key] = _dumps(str(int_poly_scalar(x, g.scale)))
-            row[j] = text
+        for j, e in zip(cols, numbers):
+            row[j] = texts[e]
         fh.write(sep + row_open + item_sep.join(row) + row_close)
         sep = ","
     fh.write("\n" + step + "]" + tail + "\n")
@@ -181,8 +199,9 @@ def cmd_verify_brackets(args):
 
 def cmd_gram(args):
     g = _gram_builder(args)()
+    texts = gram_entry_texts(g)
     with _output(args.out) as fh:
-        write_gram_json(g, fh)
+        write_gram_json(g, texts, fh)
     return 0
 
 

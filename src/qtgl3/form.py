@@ -41,15 +41,17 @@ polynomial, and a form value (u, v) is stored as 2^(k+l) (u, v) for u of
 level (k, l): peeling one factor off u multiplies by one doubled action
 coefficient.  The public methods divide the factor back out exactly
 (`int_poly_scalar` rescales the coefficients and keeps the keys), so
-their values do not depend on any integrality.  A `GramMatrix` holds
-the memo's own integer polynomials and builds `ScalarPoly` entries only
-on demand.  The combinatorial evaluator works on the words themselves,
-stays on `ScalarPoly`, and shares no table with the id path.
+their values do not depend on any integrality.  A `GramMatrix` stores
+each distinct integer polynomial of its blocks once, in a `TermPool` of
+integer arrays, and builds `ScalarPoly` entries only on demand.  The
+combinatorial evaluator works on the words themselves, stays on
+`ScalarPoly`, and shares no table with the id path.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -163,17 +165,17 @@ class WordEngine:
     polynomials, doubled as the module docstring explains: they
     share `ScalarPoly`'s term keys and differ only in their integer
     coefficients, which `act_mono` and `form_words` rescale into
-    `ScalarPoly`s (`int_poly_scalar`).  A `gram` keeps the form memo's
-    values themselves as its entries, which is why memo values are never
-    mutated once stored.  So `_act` merges the bracket terms of a word in a
-    scratch dict, stores the word's final coefficient through `_coeffs`, so
-    that equal ones (same terms, same order) share one dict (a crosscheck
-    sweep keeps a few hundred), and freezes the result into its pairs.  Most
-    form values are zero (99 % in a crosscheck sweep); each is computed once,
-    like any other, and kept as one bit.  Only the recursion `_form(rest, w)`
-    reads a form row again, so `form_words` keeps what it computes only when
-    u is some word's rest (`_is_rest`); any other row stays empty, and fills
-    on demand if u becomes a rest later.  `gram` keeps its entries.  The
+    `ScalarPoly`s (`int_poly_scalar`).  Memo values are shared between
+    entries and never mutated once stored: `_act` merges the bracket terms
+    of a word in a scratch dict, stores the word's final coefficient through
+    `_coeffs`, so that equal ones (same terms, same order) share one dict (a
+    crosscheck sweep keeps a few hundred), and freezes the result into its
+    pairs.  Most form values are zero (99 % in a crosscheck sweep); each is
+    computed once, like any other, and kept as one bit.  Only the recursion
+    `_form(rest, w)` reads a form row again, so `form_words` keeps what it
+    computes only when u is some word's rest (`_is_rest`); any other row
+    stays empty, and fills on demand if u becomes a rest later; `gram`
+    keeps its entries in its own `TermPool`, not in the rows.  The
     combinatorial evaluator keeps its own tables, `_comb_tables` (entry
     patterns and cycle lists per level) and `_comb_weights` (word ->
     weight).  The public methods take and return `Word`s.  Words,
@@ -519,31 +521,49 @@ class WordEngine:
         are stored as the Gram's blocks: every cross-weight entry is the
         exact zero and is not stored.  Both triangles are computed,
         so hermitian symmetry stays a genuine check downstream
-        (`unitarity.evaluate` measures its residual).  The block entries
-        are the form memo's own integer polynomials, not copies.
+        (`unitarity.evaluate` measures its residual).
 
         The form is invariant under one common shift of all arguments,
         (u, v) = (u + s, v + s), which moves the weight by (k + l) s.  So a
         block of weight W is evaluated on its words shifted by -s,
         s = floor(W / max(k + l, 1)): blocks whose weights agree modulo
-        k + l share one canonical translate, and so share entry objects,
+        k + l share one canonical translate, and so share entry numbers,
         one per translation orbit of same-weight pairs (433 for the 1,897
         block entries at level (2, 0), window 2).
+
+        The entries are stored in the Gram's `TermPool`, each distinct
+        value once, and a block is its array of entry numbers.  The form of
+        a canonical pair is computed once, on its first visit, and `gram`
+        keeps its entry number for the blocks that visit it again.  Only the
+        recursion reads a form row again, and it reads the rows of rests
+        only: so `gram` stores no value in the rows of its own words unless
+        they are rests, and the pool is the only copy of its entries.
         """
         basis = enumerate_words(level, window=window, constraint=constraint)
         groups = {}
         for i, w in enumerate(basis):
             groups.setdefault(word_weight(w), []).append(i)
         k_l = max(sum(level), 1)
-        blocks = []
+        pool, blocks, numbers = TermPool(), [], {}  # numbers: word id -> {word id: entry}
+        form_rows = self._form_rows
         for (ws, wt), group in groups.items():
             a, b = -(ws // k_l), -(wt // k_l)
             ids = [self._intern(shift_word(a, b, basis[i])) for i in group]
-            # a zero bit, never met in a same-weight block so far, is recomputed
-            blocks.append((group, [[self._form_rows[i].get(j) or self._form(i, j) for j in ids]
-                                   for i in ids]))
+            block = array("q")
+            for i in ids:
+                # the entry numbers of the pairs of canonical word i met so far, the
+                # words it meets for the first time, and its row, which holds values
+                # only if i is a rest (and never its zeros)
+                known, row = numbers.setdefault(i, {}), form_rows[i]
+                new = [j for j in ids if j not in known]
+                if new:
+                    known.update(zip(new, pool.add([row.get(j) or self._form(i, j, False)
+                                                    for j in new])))
+                block.extend(map(known.__getitem__, ids))
+            blocks.append((group, block))
+        pool.seal()
         return GramMatrix(level=level, window=window, constraint=constraint,
-                          basis=basis, blocks=blocks)
+                          basis=basis, blocks=blocks, pool=pool)
 
 
 def enumerate_words(level, window=None, constraint=None):
@@ -577,18 +597,68 @@ def enumerate_words(level, window=None, constraint=None):
     return out
 
 
+class TermPool:
+    """Distinct integer polynomials, each stored once as a run of terms.
+
+    Value e has the keys keys[starts[e]:starts[e + 1]] and the coefficients
+    at the same positions, in its own term order.  Keys and offsets are
+    array('q'), about 8 B a number; so are the coefficients, while each fits
+    in 64 bits, and from the first that does not they are a list of Python
+    ints: a coefficient never wraps.  `add` numbers values by content, so
+    two with the same terms in the same order share one entry number.
+    """
+
+    def __init__(self):
+        self.keys = array("q")
+        self.coeffs = array("q")
+        self.starts = array("q", [0])
+        self._numbers = {}  # (*keys, *coeffs) -> entry number, until `seal`
+
+    def __len__(self):
+        return len(self.starts) - 1
+
+    def add(self, values):
+        """The entry numbers of a list of integer polynomials, appending each
+        one that is new."""
+        numbers, out = self._numbers, []
+        for x in values:
+            content = (*x, *x.values())
+            e = numbers.get(content)
+            if e is None:
+                e = numbers[content] = len(self)
+                self.keys.extend(x)
+                try:
+                    self.coeffs.extend(array("q", x.values()))
+                except OverflowError:  # Python ints from the first coefficient past 64 bits
+                    if type(self.coeffs) is array:
+                        self.coeffs = self.coeffs.tolist()
+                    self.coeffs += x.values()
+                self.starts.append(len(self.keys))
+            out.append(e)
+        return out
+
+    def seal(self):
+        """Drop the map that `add` finds equal values by; no value is added after."""
+        self._numbers = None
+
+    def poly(self, e):
+        """Value e as an integer polynomial, in its own term order."""
+        start, end = self.starts[e], self.starts[e + 1]
+        return dict(zip(self.keys[start:end], self.coeffs[start:end]))
+
+
 @dataclass
 class GramMatrix:
     level: tuple
     window: object
     constraint: object
     basis: list
-    # (basis indices, square matrix over them), one per weight group in
-    # first-appearance order; every entry outside them is ZERO.  An entry is
-    # an integer polynomial (ScalarPoly's keys, int coefficients) holding
-    # `scale` times the form value, shared with the form memo that computed it and with every entry
-    # of the same translation orbit (see `WordEngine.gram`), never mutated
+    # (basis indices, entry numbers), one per weight group in first-appearance
+    # order; every entry outside them is ZERO.  The numbers of a block of n
+    # words are an array('q') of n^2 in row-major order, and number e stands
+    # for the integer polynomial `pool.poly(e)`: `scale` times the form value
     blocks: list = field(repr=False)
+    pool: TermPool = field(repr=False)
     # basis index -> block position, built on first use by `entry` and `rows`
     _position: dict = field(default=None, init=False, repr=False, compare=False)
 
@@ -608,16 +678,20 @@ class GramMatrix:
         """The exact ScalarPoly entry at basis positions (i, j); ZERO across blocks."""
         position = self._positions()
         (bi, ki), (bj, kj) = position[i], position[j]
-        return int_poly_scalar(self.blocks[bi][1][ki][kj], self.scale) if bi == bj else ZERO
+        if bi != bj:
+            return ZERO
+        idx, numbers = self.blocks[bi]
+        return int_poly_scalar(self.pool.poly(numbers[ki * len(idx) + kj]), self.scale)
 
     def rows(self):
-        """Each row in basis order as (columns, entries): the basis indices of
-        its weight block and its integer entries there; every other is ZERO."""
+        """Each row in basis order as (columns, entry numbers): the basis
+        indices of its weight block and its entries there; every other is ZERO."""
         position = self._positions()
         for i in range(len(self.basis)):
             b, k = position[i]
-            idx, block = self.blocks[b]
-            yield idx, block[k]
+            idx, numbers = self.blocks[b]
+            n = len(idx)
+            yield idx, numbers[k * n:(k + 1) * n]
 
 
 def word_to_poly(w, cfg=fock.DEFAULT_CONFIG):

@@ -1,11 +1,12 @@
 """Numeric specialization of Gram matrices and positivity scans over mu.
 
 One forward pipeline, with no n x n array anywhere:
-`compile_gram(gram)` flattens the exact block entries into term arrays
-per size class of the weight blocks, once per Gram.  `evaluate(compiled,
-theta)` takes them to q = exp(2*pi*i*theta), theta rational so |q| = 1,
-as one (D, count, size, size) stack per size class: the matrices G_d of
-its D mu degrees, once per theta.  `at_mu(stacks, mu)` forms
+`compile_gram(gram)` flattens the exact block entries, read from the
+Gram's term pool, into term arrays per size class of the weight blocks,
+once per Gram.  `evaluate(compiled, theta)` takes them to
+q = exp(2*pi*i*theta), theta rational so |q| = 1, as one
+(D, count, size, size) stack per size class: the matrices G_d of its D
+mu degrees, once per theta.  `at_mu(stacks, mu)` forms
 sum_d mu^d G_d at a real mu and symmetrizes it into hermitian
 (index, stack) blocks, and `min_eigenvalue(blocks)` reads positive
 definiteness off each stack's smallest eigenvalue.
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -31,7 +31,8 @@ PD_TOLERANCE = 1e-9  # scaled by matrix dimension
 
 
 class NonFiniteSample(ArithmeticError):
-    """A mu whose powers or evaluated Gram entries are not finite floats."""
+    """A mu whose powers or evaluated Gram entries are not finite floats, or a
+    Gram coefficient past the float range."""
 
 
 @dataclass(frozen=True)
@@ -55,25 +56,37 @@ class CompiledGram:
 
 
 def compile_gram(gram):
-    """Flatten the exact block entries once; the blocks are the Gram's own.
-    Each coefficient is c / gram.scale, a correctly rounded int division."""
-    scale = gram.scale
+    """Flatten the exact block entries once; the blocks are the Gram's own, and
+    each entry's terms are read from the Gram's pool in their own order.  Each
+    coefficient is c / gram.scale, a correctly rounded int division, made once
+    per pool term; one past the float range raises NonFiniteSample."""
+    pool, scale = gram.pool, gram.scale
+    try:
+        values = np.fromiter((c / scale for c in pool.coeffs), dtype=float,
+                             count=len(pool.coeffs))
+    except OverflowError:
+        level = ",".join(map(str, gram.level))
+        raise NonFiniteSample(f"level {level}: a Gram coefficient overflows a float") from None
+    keys = np.asarray(pool.keys, dtype=np.intp)
+    starts = np.asarray(pool.starts, dtype=np.intp)
     by_size = {}
-    for idx, rows in gram.blocks:
-        by_size.setdefault(len(idx), []).append((idx, rows))
+    for idx, numbers in gram.blocks:
+        by_size.setdefault(len(idx), []).append((idx, numbers))
     classes, q_range, degrees = [], [], 0
     for blocks in by_size.values():
-        # the blocks' entries in row-major order: entry k is slot k of a stack
-        entries = [entry for _, rows in blocks for row in rows for entry in row]
-        lengths = np.fromiter(map(len, entries), dtype=np.intp, count=len(entries))
-        keys = np.fromiter(chain.from_iterable(entries), dtype=np.intp, count=lengths.sum())
-        coeff = np.fromiter((c / scale for c in chain.from_iterable(map(dict.values, entries))),
-                            dtype=float, count=keys.size)
-        e, d = unpack_key(keys)
+        # the blocks' entry numbers in row-major order: entry k is slot k of a stack
+        entries = np.concatenate([np.asarray(numbers, dtype=np.intp) for _, numbers in blocks])
+        first = starts[entries]
+        lengths = starts[entries + 1] - first
+        ends = np.cumsum(lengths)
+        # the pool positions of every entry's terms, entry after entry
+        terms = np.repeat(first + lengths - ends, lengths) + np.arange(ends[-1], dtype=np.intp)
+        e, d = unpack_key(keys[terms])
         q_range += [e.min(), e.max()]
         degrees = max(degrees, d.max() + 1)
         at = d * len(entries) + np.repeat(np.arange(len(entries), dtype=np.intp), lengths)
-        classes.append((np.array([idx for idx, _ in blocks], dtype=np.intp), at, e, coeff))
+        classes.append((np.array([idx for idx, _ in blocks], dtype=np.intp), at, e,
+                        values[terms]))
     lo = min(q_range)
     return CompiledGram(classes=tuple((idx, at, e - lo, coeff) for idx, at, e, coeff in classes),
                         q_exps=tuple(range(lo, max(q_range) + 1)), mu_degs=tuple(range(degrees)))

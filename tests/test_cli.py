@@ -175,6 +175,29 @@ def test_scan_overflow_inside_a_grid_is_named():
         assert res.stdout == ""
 
 
+def test_scan_with_a_coefficient_past_the_float_range_is_a_usage_error():
+    # one word of 850 factors: an exact Gram coefficient over 2^850 passes 1.8e308
+    res = run_cli("unitarity-scan", "--level", "850,0", "--window", "0", "--theta", "1/3",
+                  "--mu=1")
+    assert_usage_error(res)
+    assert res.stderr == "error: level 850,0: a Gram coefficient overflows a float\n"
+    assert res.stdout == ""
+
+
+def test_gram_past_the_int_string_digit_limit_writes_nothing(tmp_path):
+    # one word of 900 factors: an exact coefficient passes the interpreter's
+    # 4,300-digit limit for int-to-str conversion; no head of the document is left
+    out = tmp_path / "g.json"
+    for args in ([], ["--out", str(out)]):
+        res = run_cli("gram", "--level", "900,0", "--window", "0", *args)
+        assert_usage_error(res)
+        assert res.stderr.startswith("error: level 900,0 has a Gram coefficient of more than "
+                                     f"{sys.get_int_max_str_digits()} digits")
+        assert res.stderr.count("\n") == 1
+        assert res.stdout == ""
+    assert not out.exists()
+
+
 def test_emit_refuses_nonfinite_floats(tmp_path):
     out = tmp_path / "x.json"
     with pytest.raises(ValueError):
@@ -213,6 +236,8 @@ GRAM_SHA256 = {
     ("1,2", "--window", "1"): "094dc7996e8c4c62472516e4c46cc1b23efb6a4c3c3d11d26a7783ce29c412e7",
     # n = 1
     ("0,0", "--window", "0"): "4461d5583d91665dfd93a22c593a49767880b5c548b23b56e932711c69809331",
+    # one word whose scaled coefficients pass 64 bits (69 bits long)
+    ("12,0", "--window", "0"): "6db255efe68dbbf46e0046887b2be7d5ba15c5b31d107fdbe26bc2822e3a38f8",
 }
 
 
@@ -235,7 +260,7 @@ def test_gram_out_file_equals_stdout(tmp_path):
 
 def streamed_gram(g):
     out = io.StringIO()
-    cli.write_gram_json(g, out)
+    cli.write_gram_json(g, cli.gram_entry_texts(g), out)
     return out.getvalue()
 
 
@@ -270,7 +295,7 @@ def test_streamed_gram_memory_is_bounded_by_a_row():
     g = WordEngine().gram((2, 1), window=1)
     tracemalloc.start()
     try:
-        cli.write_gram_json(g, Discard())
+        cli.write_gram_json(g, cli.gram_entry_texts(g), Discard())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -375,7 +376,7 @@ def test_gram_structure_and_json(engine):
     g = engine.gram((1, 0), window=0)
     assert g.entry(0, 0) == MU
     out = io.StringIO()
-    cli.write_gram_json(g, out)
+    cli.write_gram_json(g, cli.gram_entry_texts(g), out)
     js = json.loads(out.getvalue())
     assert js["level"] == [1, 0]
     assert js["window"] == 0
@@ -385,6 +386,15 @@ def test_gram_structure_and_json(engine):
     assert g2.entry(0, 0) == MU * MU + MU
     g3 = engine.gram((0, 0), window=1)
     assert g3.entry(0, 0) == ONE
+
+
+def test_gram_stays_exact_past_64_bits():
+    # level (12, 0): the scaled entry's coefficients are up to 69 bits long
+    u = make_word([(0, 0)] * 12, [])
+    g = WordEngine().gram((12, 0), window=0)
+    assert g.basis == [u]
+    assert max(map(abs, g.pool.coeffs)).bit_length() == 69
+    assert g.entry(0, 0) == WordEngine().form_words(u, u)
 
 
 def test_gram_hermitian_invariant(engine):
@@ -438,9 +448,9 @@ def test_gram_shares_one_entry_per_translation_orbit():
             m, n = (u.e12 or u.e32)[0]
             orbits.update((shift_word(-m, -n, u), shift_word(-m, -n, g.basis[j]))
                           for j in idx)
-    entries = {id(x) for _, block in g.blocks for row in block for x in row}
+    numbers = {e for _, block in g.blocks for e in block}
     assert len(orbits) == 433
-    assert len(entries) <= len(orbits)
+    assert len(numbers) <= len(orbits)
 
 
 # -- the interned engine ---------------------------------------------------
@@ -483,22 +493,53 @@ def test_reused_engine_gram_matches_fresh_engines():
         want = WordEngine().gram(level, window=window)
         assert got.basis == want.basis
         assert got.blocks == want.blocks
+        assert entry_items(got) == entry_items(want)
+
+
+def entry_items(g):
+    """The term items of every Gram block entry, in block order and in each
+    entry's own term order."""
+    return [list(g.pool.poly(e).items()) for _, block in g.blocks for e in block]
+
+
+def test_gram_pool_holds_each_ordered_value_once():
+    g = WordEngine().gram((2, 1), window=1)
+    values = [g.pool.poly(e) for e in range(len(g.pool))]
+    assert len({tuple(x.items()) for x in values}) == len(values) == 426
+    # every value is in use; the 5,773 block entries were 4,161 distinct memo dicts
+    assert {e for _, block in g.blocks for e in block} == set(range(len(values)))
+    assert sum(len(block) for _, block in g.blocks) == 5773
+    assert all(type(block) is array and block.typecode == "q" for _, block in g.blocks)
 
 
 def test_gram_keeps_no_copy_of_the_form_memo():
-    # a second Gram over memoized pairs adds only its basis and block lists:
-    # its entries are the memo's own values (copying them into ScalarPolys
-    # keeps 1.6 MB or more)
+    # the pool is the only copy of a Gram's entries: the form memo keeps no
+    # row of the Gram's own words (none is a rest at this level), values or
+    # zero bits, while the rows of rests stay
     eng = WordEngine()
-    eng.gram((2, 1), window=1)
+    g = eng.gram((2, 1), window=1)
+    words = set()
+    for w in g.basis:  # each block's canonical translate, as `gram` shifts it
+        ws, wt = word_weight(w)
+        words.add(shift_word(-(ws // 3), -(wt // 3), w))
+    assert len(words) == 193
+    for w in words:
+        uid = eng._ids[w]
+        assert not eng._is_rest[uid]
+        assert not eng._form_rows[uid] and eng._zero_rows[uid] is form._NO_ZEROS
+    assert any(eng._form_rows)  # the rows of rests
+
+
+def test_gram_memory_is_bounded():
+    # with each entry one of the form memo's own dicts, kept in the memo for
+    # the engine's life, this peaked at 2.75 MB
     tracemalloc.start()
     try:
-        g = eng.gram((2, 1), window=1)
-        kept = tracemalloc.get_traced_memory()[0]
+        WordEngine().gram((2, 1), window=1)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(g.basis) == 405
-    assert kept < 400_000
+    assert peak <= 2_000_000
 
 
 def test_act_element_sums_its_symbols():
@@ -554,7 +595,7 @@ PINNED_GRAM_TERM_ORDER = {
 @pytest.mark.parametrize("level, window", list(PINNED_GRAM_TERM_ORDER))
 def test_gram_entry_term_order_is_pinned(level, window):
     g = WordEngine().gram(level, window=window)
-    items = [list(e.items()) for _, block in g.blocks for row in block for e in row]
+    items = entry_items(g)
     digest = hashlib.sha256(repr(items).encode()).hexdigest()
     assert digest == PINNED_GRAM_TERM_ORDER[(level, window)]
 
@@ -577,7 +618,7 @@ def test_form_memo_holds_integer_polynomials():
 def test_int_poly_scalar_keeps_keys_and_order():
     # the engine's integer polynomials carry ScalarPoly's keys: only coefficients change
     g = WordEngine().gram((2, 1), window=1)
-    polys = [x for _, rows in g.blocks for row in rows for x in row if len(x) > 2][:40]
+    polys = [x for x in map(g.pool.poly, range(len(g.pool))) if len(x) > 2][:40]
     polys.append({(2 << MU_BITS) + 1: 3, -1 << MU_BITS: -4, 0: 7})
     for x in polys:
         for denom in (1, g.scale):
@@ -633,8 +674,8 @@ def _zero_pairs(eng):
 
 
 # `memo_sizes()` after `gram((2, 1), window=1)` on a fresh engine (`gram`
-# keeps every form entry it computes)
-MEMO_SIZES_GRAM_21_W1 = {"words": 430, "operators": 196, "form_entries": 5028,
+# keeps only the form rows of rests; its own entries are in its term pool)
+MEMO_SIZES_GRAM_21_W1 = {"words": 430, "operators": 196, "form_entries": 867,
                          "act_entries": 4636, "interned": 85}
 
 
@@ -693,8 +734,7 @@ def test_packed_keys_stay_far_from_aliasing():
     for k in range(4):
         for l in range(4 - k):
             g = eng.gram((k, l), window=1)
-            degs = [unpack_key(key)[1] for _, rows in g.blocks
-                    for row in rows for x in row for key in x]
+            degs = [unpack_key(key)[1] for key in g.pool.keys]
             assert degs and max(degs) <= k + l
     degs = [unpack_key(key)[1] for c in _act_coefficients(eng) for key in c]
     assert degs and max(degs) <= 1
@@ -758,7 +798,11 @@ def test_zero_bits_are_sound():
 # non-raising operators, in order of first sighting.  Recorded when the memos
 # still stored zeros as empty dicts, action results as dicts, and the raising
 # operators E12 and E32 had no ids or rows, so the memos hold the same values
-# in the same order.
+# in the same order.  `gram` stores no value in the rows of its own words
+# unless they are rests (none is at (2, 1)); its term pool holds them.  So
+# for a Gram the rows of those words are read back from the pool
+# (`_gram_rows`): together the rows and the pool hold what the rows alone
+# held before the pool.
 PINNED_MEMO_CONTENTS = {
     "gram_21_w1": {
         "act": "ee9159ae7b8b8ce2b8910f71364f2c4c141a7eab8fc4a1e6b045e4f10e9007b7",
@@ -773,20 +817,44 @@ PINNED_MEMO_CONTENTS = {
 }
 
 
+def _gram_rows(eng, g):
+    """The form rows and zero pairs of the words of a Gram's blocks, as the rows
+    held them before the term pool: each block row-major on the ids of its
+    canonical translates, the first visit of a pair setting its place."""
+    k_l = max(sum(g.level), 1)
+    rows, zeros = {}, set()
+    for idx, block in g.blocks:
+        ws, wt = word_weight(g.basis[idx[0]])
+        ids = [eng._ids[shift_word(-(ws // k_l), -(wt // k_l), g.basis[i])] for i in idx]
+        numbers = iter(block)
+        for uid in ids:
+            assert not eng._form_rows[uid] and not eng._is_rest[uid]
+            for vid in ids:
+                x = g.pool.poly(next(numbers))
+                if x:
+                    rows.setdefault(uid, {}).setdefault(vid, x)
+                else:
+                    zeros.add((uid, vid))
+    return rows, zeros
+
+
 @pytest.mark.parametrize("case", list(PINNED_MEMO_CONTENTS))
 def test_memo_term_order_is_pinned(case):
     eng = WordEngine()
     if case == "gram_21_w1":
-        eng.gram((2, 1), window=1)
+        gram_rows, gram_zeros = _gram_rows(eng, eng.gram((2, 1), window=1))
     else:
         _sweep(eng, LEVEL3_SAMPLE)
+        gram_rows, gram_zeros = {}, set()
     acts = [(op, wid, [(w, tuple(c.items())) for w, c in pairs])
             for op, (_, row) in enumerate(_non_raising_rows(eng))
             for wid, pairs in row.items()]
     forms = [(uid, vid, tuple(x.items()))
-             for uid, row in enumerate(eng._form_rows) for vid, x in row.items()]
+             for uid, row in enumerate(eng._form_rows)
+             for vid, x in (row or gram_rows.get(uid, {})).items()]
+    zeros = sorted(gram_zeros.union(_zero_pairs(eng)))
     got = {name: hashlib.sha256(repr(x).encode()).hexdigest()
-           for name, x in (("act", acts), ("form", forms), ("zeros", _zero_pairs(eng)))}
+           for name, x in (("act", acts), ("form", forms), ("zeros", zeros))}
     assert got == PINNED_MEMO_CONTENTS[case]
 
 

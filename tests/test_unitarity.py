@@ -1,19 +1,31 @@
 import json
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qtgl3 import unitarity
-from qtgl3.form import GramMatrix, enumerate_words, make_word
+from qtgl3.form import GramMatrix, TermPool, enumerate_words, make_word
 from qtgl3.scalars import MU, MU_BITS, ONE, ZERO, ScalarPoly, q_pow, unpack_key
+
+
+def pooled_gram(basis, blocks, level=(1, 0)):
+    """A GramMatrix from blocks given as square matrices of integer
+    polynomials, each stored as `WordEngine.gram` stores it: numbered in a
+    term pool by `TermPool.add`."""
+    pool = TermPool()
+    numbers = [(idx, array("q", pool.add([x for row in rows for x in row])))
+               for idx, rows in blocks]
+    pool.seal()
+    return GramMatrix(level=level, window=0, constraint=None, basis=basis,
+                      blocks=numbers, pool=pool)
 
 
 def hand_gram(basis, blocks, level=(1, 0)):
     """A GramMatrix from blocks of integer-coefficient ScalarPolys, each entry
-    stored as `WordEngine.gram` stores it: an integer polynomial times 2^(k+l),
-    on the ScalarPoly's own keys."""
+    an integer polynomial times 2^(k+l), on the ScalarPoly's own keys."""
     def pack(x):
         out = {}
         for k, c in x.terms.items():
@@ -21,9 +33,8 @@ def hand_gram(basis, blocks, level=(1, 0)):
             out[k] = c.a << sum(level)
         return out
 
-    return GramMatrix(level=level, window=0, constraint=None, basis=basis,
-                      blocks=[(idx, [[pack(x) for x in row] for row in rows])
-                              for idx, rows in blocks])
+    return pooled_gram(basis, [(idx, [[pack(x) for x in row] for row in rows])
+                               for idx, rows in blocks], level)
 
 
 def single_entry_gram(entry, level=(1, 1)):
@@ -106,9 +117,8 @@ def test_stack_indices_are_wide():
     # mu degrees 0..4 x 20,000 1x1 blocks: the flattened (degree, slot) index passes 2^16
     n = 20_000
     entry = {4: 2, 1: 2}  # 2 (mu^4 + mu), packed at level (1, 0)
-    g = GramMatrix(level=(1, 0), window=0, constraint=None,
-                   basis=[make_word([(m, 0)], []) for m in range(n)],
-                   blocks=[([i], [[entry]]) for i in range(n)])
+    g = pooled_gram([make_word([(m, 0)], []) for m in range(n)],
+                    [([i], [[entry]]) for i in range(n)])
     (_, at, _, _), = unitarity.compile_gram(g).classes
     assert at.dtype == np.intp and at.max() >= 2 ** 16
     (idx, stack), = unitarity.specialize(g, Fraction(1, 7), 2.0)
@@ -268,11 +278,11 @@ def oracle_terms(gram):
     first-appearance order, entries row-major within each size class), and
     the basis indices of each class's blocks."""
     by_size = {}
-    for idx, rows in gram.blocks:
-        by_size.setdefault(len(idx), []).append((idx, rows))
+    for idx, numbers in gram.blocks:
+        by_size.setdefault(len(idx), []).append((idx, numbers))
     out = []
     for k, blocks in enumerate(by_size.values()):
-        entries = [entry for _, rows in blocks for row in rows for entry in row]
+        entries = [gram.pool.poly(e) for _, numbers in blocks for e in numbers]
         out += [(k, at, *unpack_key(key), c / gram.scale)
                 for at, entry in enumerate(entries) for key, c in entry.items()]
     return out, [[idx for idx, _ in blocks] for blocks in by_size.values()]
@@ -280,10 +290,10 @@ def oracle_terms(gram):
 
 def test_compile_gram_matches_term_oracle(engine):
     g = engine.gram((2, 0), window=2)
-    # 1,897 block entries, one shared entry object per translation orbit
-    assert len({id(entry) for _, rows in g.blocks for row in rows for entry in row}) == 433
-    big = GramMatrix(level=(1, 0), window=0, constraint=None, basis=[make_word([(0, 0)], [])],
-                     blocks=[([0], [[{(-3 << MU_BITS) + 1: 3 * 2 ** 70}]])])
+    # 1,897 block entries, at most one entry number per translation orbit
+    assert len({e for _, numbers in g.blocks for e in numbers}) <= 433
+    big = pooled_gram([make_word([(0, 0)], [])], [([0], [[{(-3 << MU_BITS) + 1: 3 * 2 ** 70}]])])
+    assert big.pool.coeffs == [3 * 2 ** 70]  # past 64 bits: kept exact, as a Python int
     for gram in (g, big):
         c = unitarity.compile_gram(gram)
         terms, indices = oracle_terms(gram)
@@ -291,6 +301,16 @@ def test_compile_gram_matches_term_oracle(engine):
         assert [idx.tolist() for idx, *_ in c.classes] == indices
         assert min(c.q_exps) < 0
     assert compiled_terms(c) == [(0, 0, -3, 1, 3 * 2 ** 70 / 2)]
+
+
+def test_coefficient_past_the_float_range_is_not_finite():
+    # 2^1100 / 2 is no float; the exact entry is kept, and the scan refuses it
+    g = pooled_gram([make_word([(0, 0)], [])], [([0], [[{1: 2 ** 1100}]])])
+    assert g.entry(0, 0) == ScalarPoly.term(2 ** 1099) * MU
+    with pytest.raises(unitarity.NonFiniteSample, match="level 1,0"):
+        unitarity.compile_gram(g)
+    with pytest.raises(unitarity.NonFiniteSample):
+        unitarity.mu_scan(g, Fraction(1, 3), [1.0])
 
 
 def test_eigensolve_uses_the_stored_blocks():
